@@ -18,6 +18,7 @@ from .model import (
     norm_lp,
     to_physical,
     to_spectral,
+    weighted_power,
 )
 from .radial_oracle import (
     RadialProfile,
@@ -27,20 +28,13 @@ from .radial_oracle import (
     profile_to_field,
     shoot,
 )
-from .extension import (
-    ModeExtension,
-    mode_energy,
-    mode_extension,
-    neumann_consistency,
-    perturbed_mode_energy,
-)
+from .extension import neumann_consistency
 from .snapshot import load_field, save_field
 from .solver import (
     BlowUpError,
     GroundState,
     SolverConfig,
     h1_distance,
-    petviashvili_step,
     projected_gradient_solve,
     radial_scatter,
     recenter,

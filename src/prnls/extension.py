@@ -1,4 +1,4 @@
-"""Semi-analytic checks of the half-space extension, mode by mode.
+"""Semi-analytic checks of the half-space extension on every lattice mode at once.
 
 For a single Fourier mode with coefficient u_hat, the bounded solution of
 (-c^2 Lap + m^2 c^4) U = 0 on the upper half space with trace u_hat is
@@ -6,87 +6,44 @@ U_hat(xi, y) = u_hat * exp(-y s), s = sqrt(|xi|^2 + m^2 c^2).  The y-integral
 of the extension energy is then available in closed form, so the trace
 inequality (energy of any extension dominates the H^{1/2}-type form of its
 trace, with equality exactly at the harmonic extension) becomes a per-mode
-scalar identity.  No (n+1)-dimensional grid is ever built.
+identity.  No (n+1)-dimensional grid is ever built.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import Grid, PhysParams, RealField, to_spectral
+from .model import Grid, PhysParams, RealField, to_spectral, weighted_power
 
 
-@dataclass(frozen=True)
-class ModeExtension:
-    """One Fourier mode of the harmonic extension: decay rate and trace coefficient."""
-
-    xi_sq: float
-    decay: float
-    coefficient: complex
+def _decay_rates(grid: Grid, params: PhysParams) -> np.ndarray:
+    return np.sqrt(grid.xi_sq + (params.m * params.c) ** 2)
 
 
-def mode_extension(xi_sq: float, coefficient: complex, params: PhysParams) -> ModeExtension:
-    if xi_sq < 0.0:
-        raise ValueError("xi_sq must be nonnegative")
-    decay = math.sqrt(xi_sq + (params.m * params.c) ** 2)
-    return ModeExtension(xi_sq=float(xi_sq), decay=decay, coefficient=coefficient)
+def lattice_mode_energies(grid: Grid, params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
+    """(extension energy, trace form) of a unit coefficient on every lattice mode.
 
-
-def _energy_at_rate(xi_sq, sigma, coeff_sq, params: PhysParams):
-    """(1/c) * |u_hat|^2 * (c^2 |xi|^2 + m^2 c^4 + c^2 sigma^2) / (2 sigma)."""
-    m, c = params.m, params.c
-    num = c * c * xi_sq + (m * c * c) ** 2 + c * c * sigma * sigma
-    return coeff_sq * num / (2.0 * sigma * c)
-
-
-def mode_energy(ext: ModeExtension, params: PhysParams) -> float:
-    """Extension energy of one mode; equals sqrt(c^2 |xi|^2 + m^2 c^4) |u_hat|^2."""
-    return float(_energy_at_rate(ext.xi_sq, ext.decay, abs(ext.coefficient) ** 2, params))
-
-
-def trace_form(ext: ModeExtension, params: PhysParams) -> float:
-    """The H^{1/2}-side quantity sqrt(c^2 |xi|^2 + m^2 c^4) |u_hat|^2."""
-    m, c = params.m, params.c
-    return float(math.sqrt(c * c * ext.xi_sq + (m * c * c) ** 2) * abs(ext.coefficient) ** 2)
-
-
-def perturbed_mode_energy(ext: ModeExtension, delta: float, params: PhysParams) -> float:
-    """Energy of the same-trace competitor decaying at rate s + delta.
-
-    Evaluated as mode_energy plus the algebraically exact surplus
-    (c |u_hat|^2 / 2) * delta^2 / (s + delta), which keeps the strict ordering
-    for delta > 0 intact in floating point.
-    """
-    if ext.decay + delta <= 0.0:
-        raise ValueError("competitor must decay: need delta > -s")
-    coeff_sq = abs(ext.coefficient) ** 2
-    surplus = 0.5 * params.c * coeff_sq * delta * delta / (ext.decay + delta)
-    return mode_energy(ext, params) + float(surplus)
-
-
-def lattice_mode_energies(grid: Grid, params: PhysParams,
-                          coeff_sq=1.0) -> tuple[np.ndarray, np.ndarray]:
-    """(extension energy, trace form) for every lattice mode, vectorized.
-
-    coeff_sq may be an array of |u_hat|^2 values or a scalar (unit coefficients).
+    The extension energy of the mode decaying at rate s is
+    (c^2 |xi|^2 + m^2 c^4 + c^2 s^2) / (2 s c); the trace form is
+    sqrt(c^2 |xi|^2 + m^2 c^4).  Both scale with |u_hat|^2.
     """
     m, c = params.m, params.c
-    s = np.sqrt(grid.xi_sq + (m * c) ** 2)
-    ext = _energy_at_rate(grid.xi_sq, s, coeff_sq, params)
-    trace = np.sqrt(c * c * grid.xi_sq + (m * c * c) ** 2) * coeff_sq
+    s = _decay_rates(grid, params)
+    ext = (c * c * grid.xi_sq + (m * c * c) ** 2 + c * c * s * s) / (2.0 * s * c)
+    trace = np.sqrt(c * c * grid.xi_sq + (m * c * c) ** 2)
     return ext, trace
 
 
-def lattice_perturbation_surplus(grid: Grid, delta: float, params: PhysParams,
-                                 coeff_sq=1.0) -> np.ndarray:
-    """Exact extra energy of the rate-(s+delta) competitor on every mode."""
-    s = np.sqrt(grid.xi_sq + (params.m * params.c) ** 2)
+def lattice_perturbation_surplus(grid: Grid, delta: float, params: PhysParams) -> np.ndarray:
+    """Extra energy of the same-trace competitor decaying at rate s + delta, per unit mode.
+
+    Evaluated as the algebraically exact surplus (c / 2) * delta^2 / (s + delta),
+    which keeps the strict ordering for delta > 0 intact in floating point.
+    """
+    s = _decay_rates(grid, params)
     if np.any(s + delta <= 0.0):
         raise ValueError("competitor must decay: need delta > -s on every mode")
-    return 0.5 * params.c * coeff_sq * delta * delta / (s + delta)
+    return 0.5 * params.c * delta * delta / (s + delta)
 
 
 def neumann_consistency(u: RealField, params: PhysParams) -> float:
@@ -94,27 +51,19 @@ def neumann_consistency(u: RealField, params: PhysParams) -> float:
     modes present in u (both express the normal-derivative symbol; the gap is
     pure floating-point noise)."""
     m, c = params.m, params.c
-    F = to_spectral(u)
-    power = F.coeffs.real**2 + F.coeffs.imag**2
-    lhs = c * np.sqrt(u.grid.xi_sq + (m * c) ** 2)
-    rhs = np.sqrt(c * c * u.grid.xi_sq + (m * c * c) ** 2)
-    mask = power > 0.0
+    mask = to_spectral(u).coeffs != 0.0
     if not np.any(mask):
         return 0.0
-    return float(np.max(np.abs(lhs[mask] - rhs[mask]) / rhs[mask]))
+    lhs = c * _decay_rates(u.grid, params)[mask]
+    rhs = np.sqrt(c * c * u.grid.xi_sq[mask] + (m * c * c) ** 2)
+    return float(np.max(np.abs(lhs - rhs) / rhs))
 
 
 def extension_energy_total(u: RealField, params: PhysParams) -> float:
     """Extension energy of the whole field, summed mode by mode (Parseval-weighted)."""
-    F = to_spectral(u)
-    power = F.coeffs.real**2 + F.coeffs.imag**2
-    ext, _ = lattice_mode_energies(u.grid, params, power)
-    return float(u.grid.spectral_weight * np.sum(ext))
+    return weighted_power(u, lattice_mode_energies(u.grid, params)[0])
 
 
 def hhalf_form_total(u: RealField, params: PhysParams) -> float:
     """The trace-side quadratic form sum of sqrt(c^2 |xi|^2 + m^2 c^4) |u_hat|^2."""
-    F = to_spectral(u)
-    power = F.coeffs.real**2 + F.coeffs.imag**2
-    _, trace = lattice_mode_energies(u.grid, params, power)
-    return float(u.grid.spectral_weight * np.sum(trace))
+    return weighted_power(u, lattice_mode_energies(u.grid, params)[1])

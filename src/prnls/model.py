@@ -195,25 +195,29 @@ def inner_l2(f: RealField, g: RealField) -> float:
     return float(f.grid.cell_volume * np.sum(f.values * g.values))
 
 
-def norm_h1(f: RealField) -> float:
+def weighted_power(f: RealField | SpectralField, weight=None) -> float:
+    """(2*pi/L)^n * sum(weight * |f_hat|^2), weight 1 if omitted: every Sobolev norm and
+    quadratic form.  f is a spectrum at hand, or real samples transformed first."""
+    F = f if isinstance(f, SpectralField) else to_spectral(f)
+    power = F.coeffs.real**2 + F.coeffs.imag**2
+    if weight is not None:
+        power *= weight
+    return float(F.grid.spectral_weight * np.sum(power))
+
+
+def norm_h1(f: RealField | SpectralField) -> float:
     """Sobolev norm with weight (1 + |xi|^2) on the spectral side."""
-    F = to_spectral(f)
-    s = np.sum((1.0 + f.grid.xi_sq) * (F.coeffs.real**2 + F.coeffs.imag**2))
-    return float(np.sqrt(f.grid.spectral_weight * s))
+    return math.sqrt(weighted_power(f, 1.0 + f.grid.xi_sq))
 
 
-def norm_hhalf(f: RealField) -> float:
+def norm_hhalf(f: RealField | SpectralField) -> float:
     """Sobolev norm with weight sqrt(1 + |xi|^2) on the spectral side."""
-    F = to_spectral(f)
-    s = np.sum(np.sqrt(1.0 + f.grid.xi_sq) * (F.coeffs.real**2 + F.coeffs.imag**2))
-    return float(np.sqrt(f.grid.spectral_weight * s))
+    return math.sqrt(weighted_power(f, np.sqrt(1.0 + f.grid.xi_sq)))
 
 
-def grad_norm_sq(f: RealField) -> float:
+def grad_norm_sq(f: RealField | SpectralField) -> float:
     """|| grad f ||_{L2}^2 evaluated spectrally (weight |xi|^2)."""
-    F = to_spectral(f)
-    s = np.sum(f.grid.xi_sq * (F.coeffs.real**2 + F.coeffs.imag**2))
-    return float(f.grid.spectral_weight * s)
+    return weighted_power(f, f.grid.xi_sq)
 
 
 def _derivative_freqs(grid: Grid) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,10 @@ from .model import (
     to_physical,
     to_spectral,
     warn_if_poorly_truncated,
+    weighted_power,
 )
 from .symbol import Multiplier
-from .variational import EnergyReport, _pos_pow, clamped_power, energy, nehari_project
+from .variational import EnergyReport, clamped_power, energy, lp_integral, nehari_project
 
 BLOWUP_NORM = 1e12
 
@@ -157,35 +158,6 @@ def h1_distance(f: RealField, g: RealField) -> float:
     return norm_h1(RealField(f.grid, f.values - g.values))
 
 
-def _initial_field(params: PhysParams, grid: Grid, M: Multiplier, cfg: SolverConfig) -> RealField:
-    if cfg.init_field is not None:
-        if not cfg.init_field.grid.same_layout(grid):
-            raise ValueError("init_field grid does not match the solve grid")
-        f = cfg.init_field
-    else:
-        f = gaussian_field(grid, cfg.init_width)
-    _, f = nehari_project(f, M, params)
-    return f
-
-
-def petviashvili_step(u: RealField, M: Multiplier, params: PhysParams,
-                      gamma: float | None = None) -> RealField:
-    """One stabilized fixed-point update."""
-    if gamma is None:
-        gamma = (params.p - 1.0) / (params.p - 2.0)
-    grid = u.grid
-    D = M.table + params.mu
-    U = to_spectral(u)
-    q = grid.spectral_weight * np.sum(D * (U.coeffs.real**2 + U.coeffs.imag**2))
-    nl = clamped_power(u.values, params.p)
-    pairing = grid.cell_volume * np.sum(nl * u.values)
-    if pairing <= 0.0:
-        raise RuntimeError("iteration collapsed: nonlinearity lost all positive mass")
-    factor = (q / pairing) ** gamma
-    NL = to_spectral(RealField(grid, nl))
-    return to_physical(SpectralField(grid, factor * NL.coeffs / D))
-
-
 def _finalize(values: np.ndarray, grid: Grid, M: Multiplier, params: PhysParams,
               cfg: SolverConfig, iterations: int) -> GroundState:
     f = recenter(RealField(grid, values))
@@ -203,6 +175,44 @@ def _finalize(values: np.ndarray, grid: Grid, M: Multiplier, params: PhysParams,
                        converged=converged, params=params)
 
 
+def _iterate(params: PhysParams, grid: Grid, M: Multiplier, cfg: SolverConfig,
+             step) -> GroundState:
+    """The loop both solvers share.
+
+    Each pass stops once the spectral residual ||(A + mu) u - u_+^{p-1}|| / ||u||
+    is within half the tolerance, or after max_iter steps.  Otherwise
+    step(u, U, nl, NL, D) returns the next (samples, spectrum), or None to stop
+    (that step still counts).  Samples None are transformed from the spectrum
+    here, after the old spectrum is freed: holding it slows the loop.
+    """
+    if not M.grid.same_layout(grid):
+        raise ValueError("multiplier grid does not match the solve grid")
+    init = cfg.init_field if cfg.init_field is not None else gaussian_field(grid, cfg.init_width)
+    if not init.grid.same_layout(grid):
+        raise ValueError("init_field grid does not match the solve grid")
+    D = M.table + params.mu
+    u = nehari_project(init, M, params)[1].values
+    U = to_spectral(RealField(grid, u)).coeffs
+    for it in range(cfg.max_iter + 1):
+        nl = clamped_power(u, params.p)
+        NL = to_spectral(RealField(grid, nl)).coeffs
+        res_sq = weighted_power(SpectralField(grid, D * U - NL))
+        u_sq = grid.cell_volume * np.sum(u * u)
+        if u_sq > BLOWUP_NORM**2:
+            raise BlowUpError(f"iterate norm exceeded {BLOWUP_NORM:.0e}")
+        if ((u_sq > 0.0 and math.sqrt(res_sq / u_sq) <= 0.5 * cfg.tol_residual)
+                or it == cfg.max_iter):
+            break
+        nxt = step(u, U, nl, NL, D)
+        if nxt is None:
+            it += 1
+            break
+        u, U = nxt
+        if u is None:
+            u = to_physical(SpectralField(grid, U)).values
+    return _finalize(u, grid, M, params, cfg, it)
+
+
 def solve_ground_state(params: PhysParams, grid: Grid, M: Multiplier,
                        cfg: SolverConfig | None = None) -> GroundState:
     """Petviashvili iteration to the relative-residual target.
@@ -212,42 +222,20 @@ def solve_ground_state(params: PhysParams, grid: Grid, M: Multiplier,
     converged=False with the last iterate.
     """
     cfg = cfg or SolverConfig()
-    if not M.grid.same_layout(grid):
-        raise ValueError("multiplier grid does not match the solve grid")
     gamma = cfg.resolved_gamma(params.p)
-    D = M.table + params.mu
-    w_spec = grid.spectral_weight
-    vol = grid.cell_volume
 
-    u = _initial_field(params, grid, M, cfg).values
-    U = to_spectral(RealField(grid, u)).coeffs
-    iterations = 0
-    for it in range(cfg.max_iter + 1):
-        nl = clamped_power(u, params.p)
-        NL = to_spectral(RealField(grid, nl)).coeffs
-        diff = D * U - NL
-        res_sq = w_spec * np.sum(diff.real**2 + diff.imag**2)
-        u_sq = vol * np.sum(u * u)
-        if u_sq > BLOWUP_NORM**2:
-            raise BlowUpError(f"iterate norm exceeded {BLOWUP_NORM:.0e}")
-        if u_sq > 0.0 and math.sqrt(res_sq / u_sq) <= 0.5 * cfg.tol_residual:
-            iterations = it
-            break
-        if it == cfg.max_iter:
-            iterations = it
-            break
-        q = w_spec * np.sum(D * (U.real**2 + U.imag**2))
-        pairing = vol * np.sum(nl * u)
+    def step(u, U, nl, NL, D):
+        q = weighted_power(SpectralField(grid, U), D)
+        pairing = grid.cell_volume * np.sum(nl * u)
         if pairing <= 0.0 or not math.isfinite(pairing):
-            iterations = it + 1
-            break
+            return None
         with np.errstate(over="ignore", invalid="ignore"):  # blow-up is caught below
             U = (q / pairing) ** gamma * NL / D
         if not np.all(np.isfinite(U)):
             raise BlowUpError("iterate became non-finite")
-        u = to_physical(SpectralField(grid, U)).values
-        iterations = it + 1
-    return _finalize(u, grid, M, params, cfg, iterations)
+        return None, U
+
+    return _iterate(params, grid, M, cfg, step)
 
 
 def projected_gradient_solve(params: PhysParams, grid: Grid, M: Multiplier,
@@ -258,49 +246,19 @@ def projected_gradient_solve(params: PhysParams, grid: Grid, M: Multiplier,
     v <- project(v - tau * (v - (A + mu)^{-1} v_+^{p-1}))
     """
     cfg = cfg or SolverConfig()
-    if not M.grid.same_layout(grid):
-        raise ValueError("multiplier grid does not match the solve grid")
     tau = cfg.fallback_step
-    D = M.table + params.mu
-    w_spec = grid.spectral_weight
-    vol = grid.cell_volume
-    e = 1.0 / (params.p - 2.0)
 
-    v = _initial_field(params, grid, M, cfg).values
-    V = to_spectral(RealField(grid, v)).coeffs
-    iterations = 0
-    for it in range(cfg.max_iter + 1):
-        nl = clamped_power(v, params.p)
-        NL = to_spectral(RealField(grid, nl)).coeffs
-        diff = D * V - NL
-        res_sq = w_spec * np.sum(diff.real**2 + diff.imag**2)
-        v_sq = vol * np.sum(v * v)
-        if v_sq > BLOWUP_NORM**2:
-            raise BlowUpError(f"iterate norm exceeded {BLOWUP_NORM:.0e}")
-        if v_sq > 0.0 and math.sqrt(res_sq / v_sq) <= 0.5 * cfg.tol_residual:
-            iterations = it
-            break
-        if it == cfg.max_iter:
-            iterations = it
-            break
-        step = to_physical(SpectralField(grid, NL / D)).values
-        cand = v - tau * (v - step)
+    def step(v, V, nl, NL, D):
+        cand = v - tau * (v - to_physical(SpectralField(grid, NL / D)).values)
         if not np.all(np.isfinite(cand)):
-            iterations = it + 1
-            break  # oversized step wrecked the iterate; report non-convergence
-        C = to_spectral(RealField(grid, cand)).coeffs
-        q = w_spec * np.sum(D * (C.real**2 + C.imag**2))
-        lp = vol * np.sum(_pos_pow(np.abs(cand), params.p))
+            return None  # oversized step wrecked the iterate; report non-convergence
+        cand_field = RealField(grid, cand)
+        C = to_spectral(cand_field)
+        q = weighted_power(C, D)
+        lp = lp_integral(cand_field, params.p)
         if lp <= 0.0 or not (math.isfinite(q) and math.isfinite(lp)):
-            iterations = it + 1
-            break
-        t_star = (q / lp) ** e
-        v = t_star * cand
-        V = t_star * C
-        iterations = it + 1
-    return _finalize(v, grid, M, params, cfg, iterations)
+            return None
+        t_star = (q / lp) ** (1.0 / (params.p - 2.0))
+        return t_star * cand, t_star * C.coeffs
 
-
-def warm_config(cfg: SolverConfig, init_field: RealField) -> SolverConfig:
-    """Copy of cfg that starts from a given field (used by the c-sweep)."""
-    return replace(cfg, init_field=init_field)
+    return _iterate(params, grid, M, cfg, step)

@@ -18,19 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import PhysParams, RealField, grad_norm_sq, make_grid, norm_hhalf, norm_l2
+from .model import PhysParams, RealField, grad_norm_sq, make_grid, norm_hhalf, norm_l2, to_spectral
 from .snapshot import save_field
-from .solver import (
-    GroundState,
-    SolverConfig,
-    h1_distance,
-    radial_scatter,
-    solve_ground_state,
-    warm_config,
-)
+from .solver import GroundState, SolverConfig, h1_distance, radial_scatter, solve_ground_state
 from .symbol import limit_multiplier, relativistic_multiplier
-
-DEFAULT_SCHEDULE = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 RECORD_FIELDS = ("c", "I", "lp", "l2_sq", "grad_sq", "hhalf", "err_h1",
                  "residual", "iterations", "radial_scatter", "min_over_max", "converged")
@@ -64,16 +55,30 @@ class RunConfig:
     n: int = 2
     L: float = 32.0
     N: int = 256
-    c_schedule: tuple[float, ...] = DEFAULT_SCHEDULE
+    c_schedule: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
     solver: SolverConfig = field(default_factory=SolverConfig)
     output_dir: str | None = None
 
     def __post_init__(self):
+        for name in ("m", "mu", "p", "L"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("n", "N"):
+            value = float(getattr(self, name))
+            if not value.is_integer():
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, int(value))
         sched = tuple(float(c) for c in self.c_schedule)
         if not sched:
             raise ValueError("c_schedule must not be empty")
+        if not all(math.isfinite(c) for c in sched):
+            raise ValueError("c_schedule must be finite; the limit state c = inf is always solved")
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("c_schedule must be strictly increasing")
+        labels = [_label(c) for c in sched]
+        clash = sorted({label for label in labels if labels.count(label) > 1})
+        if clash:
+            raise ValueError(f"c_schedule values share the snapshot labels {clash}; "
+                             "they must differ in 6 significant digits")
         object.__setattr__(self, "c_schedule", sched)
         make_grid(self.n, self.L, self.N)
         for c in sched:
@@ -87,26 +92,33 @@ class RunConfig:
         return PhysParams(m=self.m, mu=self.mu, c=math.inf, p=self.p, n=self.n)
 
 
+def _label(c: float) -> str:
+    """Snapshot file label of a light speed: state_c<label>.f64."""
+    return f"{c:g}"
+
+
+_CONFIG_KEYS = {
+    "params": ("m", "mu", "p", "n"),
+    "grid": ("L", "N"),
+    "solver": tuple(f.name for f in dataclasses.fields(SolverConfig) if f.name != "init_field"),
+}
+
+
 def run_config_from_dict(raw: dict) -> RunConfig:
-    """Build a RunConfig from the parsed configuration file (all keys optional)."""
-    params = raw.get("params", {})
-    grid = raw.get("grid", {})
-    solver = raw.get("solver", {})
-    known = {"tol_residual", "max_iter", "gamma", "init_width", "fallback_step"}
-    unknown = set(solver) - known
-    if unknown:
-        raise ValueError(f"unknown solver keys: {sorted(unknown)}")
-    return RunConfig(
-        m=float(params.get("m", 1.0)),
-        mu=float(params.get("mu", 1.0)),
-        p=float(params.get("p", 3.0)),
-        n=int(params.get("n", 2)),
-        L=float(grid.get("L", 32.0)),
-        N=int(grid.get("N", 256)),
-        c_schedule=tuple(float(c) for c in raw.get("c_schedule", DEFAULT_SCHEDULE)),
-        solver=SolverConfig(**{k: solver[k] for k in solver}),
-        output_dir=raw.get("output_dir"),
-    )
+    """Build a RunConfig from the parsed configuration file.
+
+    All keys are optional: a missing one keeps its RunConfig or SolverConfig
+    default.  Unknown keys are rejected.
+    """
+    sections = [("top-level", raw, (*_CONFIG_KEYS, "c_schedule", "output_dir"))]
+    sections += [(name, raw.get(name, {}), keys) for name, keys in _CONFIG_KEYS.items()]
+    for name, section, keys in sections:
+        unknown = set(section) - set(keys)
+        if unknown:
+            raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    top = {k: raw[k] for k in ("c_schedule", "output_dir") if k in raw}
+    return RunConfig(**raw.get("params", {}), **raw.get("grid", {}), **top,
+                     solver=SolverConfig(**raw.get("solver", {})))
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -128,13 +140,14 @@ class SweepResult:
 def make_record(c: float, gs: GroundState, reference: RealField) -> SweepRecord:
     v = gs.field.values
     peak = float(np.max(v))
+    F = to_spectral(gs.field)
     return SweepRecord(
         c=float(c),
         I=float(gs.report.I),
         lp=float(gs.report.lp),
         l2_sq=float(norm_l2(gs.field) ** 2),
-        grad_sq=float(grad_norm_sq(gs.field)),
-        hhalf=float(norm_hhalf(gs.field)),
+        grad_sq=grad_norm_sq(F),
+        hhalf=norm_hhalf(F),
         err_h1=float(h1_distance(gs.field, reference)),
         residual=float(gs.report.residual),
         iterations=int(gs.iterations),
@@ -154,14 +167,12 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     limit_gs = solve_ground_state(cfg.limit_params, grid,
                                   limit_multiplier(grid, cfg.limit_params), cfg.solver)
     states: list[GroundState] = []
-    prev: GroundState | None = None
+    scfg = cfg.solver
     for c in cfg.c_schedule:
         pc = cfg.params_at(c)
-        Mc = relativistic_multiplier(grid, pc)
-        scfg = cfg.solver if prev is None else warm_config(cfg.solver, prev.field)
-        gs = solve_ground_state(pc, grid, Mc, scfg)
+        gs = solve_ground_state(pc, grid, relativistic_multiplier(grid, pc), scfg)
         states.append(gs)
-        prev = gs
+        scfg = dataclasses.replace(cfg.solver, init_field=gs.field)  # warm start
     records = tuple(make_record(c, gs, limit_gs.field)
                     for c, gs in zip(cfg.c_schedule, states))
     limit_record = make_record(math.inf, limit_gs, limit_gs.field)
@@ -180,7 +191,7 @@ def save_state(out_dir: str | Path, gs: GroundState, c: float) -> tuple[Path, Pa
     """Snapshot file plus a JSON side-car with the scalar diagnostics."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    label = f"{c:g}"
+    label = _label(c)
     snap = save_field(out / f"state_c{label}.f64", gs.field, gs.params)
     payload = {
         "c": _json_safe(float(c)),

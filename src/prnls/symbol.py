@@ -5,21 +5,34 @@ evaluated through the algebraically equivalent quotient
 
     a_c(xi) = |xi|^2 / (sqrt(|xi|^2/c^2 + m^2) + m),
 
-which loses no significant digits however large c gets.  The subtraction form
-exists only so tests can confirm the two agree where the subtraction is safe.
+which loses no significant digits however large c gets.  The tests compare it
+with the subtraction form wherever the subtraction is safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Grid, PhysParams, RealField, SpectralField, to_physical, to_spectral
+from .model import (
+    Grid,
+    PhysParams,
+    RealField,
+    SpectralField,
+    to_physical,
+    to_spectral,
+    weighted_power,
+)
 
 RELATIVISTIC = "relativistic"
 LIMIT = "limit"
 CUSTOM = "custom"
+
+
+def _scalar_or_array(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
 
 
 def eval_relativistic_symbol(xi_sq, params: PhysParams):
@@ -29,22 +42,14 @@ def eval_relativistic_symbol(xi_sq, params: PhysParams):
     with np.errstate(invalid="ignore"):  # xi_sq/c^2 is 0 for c = inf
         denom = np.sqrt(xi_sq / (c * c) + m * m) + m
     out = xi_sq / denom
-    return float(out) if out.ndim == 0 else out
-
-
-def eval_relativistic_symbol_naive(xi_sq, params: PhysParams):
-    """Subtraction form sqrt(c^2 |xi|^2 + m^2 c^4) - m c^2; cancellation-prone, test use only."""
-    m, c = params.m, params.c
-    xi_sq = np.asarray(xi_sq, dtype=np.float64)
-    out = np.sqrt(c * c * xi_sq + (m * c * c) ** 2) - m * c * c
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out)
 
 
 def eval_limit_symbol(xi_sq, params: PhysParams):
     """Quadratic dispersion |xi|^2 / (2m)."""
     xi_sq = np.asarray(xi_sq, dtype=np.float64)
     out = xi_sq / (2.0 * params.m)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out)
 
 
 def symbol_gap(xi_sq, params: PhysParams):
@@ -62,7 +67,7 @@ def symbol_gap(xi_sq, params: PhysParams):
         lead = xi_sq / (2.0 * m * c * c)
         d = np.sqrt(xi_sq / (c * c) + m2) + m
     out = lead * (xi_sq / (d * d))
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out)
 
 
 def symbol_gap_bound(xi_sq, params: PhysParams):
@@ -78,7 +83,7 @@ def symbol_gap_bound(xi_sq, params: PhysParams):
         lead = xi_sq / (2.0 * m * c * c)
     d0 = np.sqrt(m2) + m
     out = lead * (xi_sq / (d0 * d0))
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out)
 
 
 def sandwich_holds(xi_sq, params: PhysParams) -> bool:
@@ -134,11 +139,5 @@ def multiplier_convergence_test(phi: RealField, c_list, params: PhysParams) -> l
     For smooth decaying phi the sequence decreases and e(2c)/e(c) -> 1/4.
     """
     F = to_spectral(phi)
-    power = F.coeffs.real**2 + F.coeffs.imag**2
-    w = phi.grid.spectral_weight
-    out = []
-    for c in c_list:
-        p_c = PhysParams(m=params.m, mu=params.mu, c=float(c), p=params.p, n=params.n)
-        gap = symbol_gap(phi.grid.xi_sq, p_c)
-        out.append(float(np.sqrt(w * np.sum(gap * gap * power))))
-    return out
+    gaps = (symbol_gap(phi.grid.xi_sq, replace(params, c=float(c))) for c in c_list)
+    return [math.sqrt(weighted_power(F, gap * gap)) for gap in gaps]

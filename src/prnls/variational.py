@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhysParams, RealField, SpectralField, norm_l2, to_physical, to_spectral
+from .model import (
+    PhysParams,
+    RealField,
+    SpectralField,
+    norm_l2,
+    to_physical,
+    to_spectral,
+    weighted_power,
+)
 from .symbol import Multiplier
 
 
@@ -57,33 +65,33 @@ def lp_integral(u: RealField, p: float) -> float:
     return float(u.grid.cell_volume * np.sum(_pos_pow(np.abs(u.values), p)))
 
 
-def quadratic_form(u: RealField, M: Multiplier, params: PhysParams) -> float:
+def quadratic_form(u: RealField | SpectralField, M: Multiplier, params: PhysParams) -> float:
     """Q(u) = sum over the lattice of (a(xi) + mu) |u_hat|^2, Parseval-weighted."""
     if not M.grid.same_layout(u.grid):
         raise ValueError("grid mismatch")
-    F = to_spectral(u)
-    power = F.coeffs.real**2 + F.coeffs.imag**2
-    return float(u.grid.spectral_weight * np.sum((M.table + params.mu) * power))
+    return weighted_power(u, M.table + params.mu)
 
 
 def residual(u: RealField, M: Multiplier, params: PhysParams) -> float:
     """Relative L2 residual ||A u + mu u - |u|^{p-2} u|| / ||u||."""
-    scale = norm_l2(u)
-    if scale == 0.0:
+    if norm_l2(u) == 0.0:
         raise ValueError("residual is undefined for the zero field")
-    F = to_spectral(u)
-    lhs = to_physical(SpectralField(u.grid, (M.table + params.mu) * F.coeffs))
-    r = lhs.values - odd_power(u.values, params.p)
-    return float(np.sqrt(u.grid.cell_volume * np.sum(r * r))) / scale
+    return energy(u, M, params).residual
 
 
 def energy(u: RealField, M: Multiplier, params: PhysParams) -> EnergyReport:
     """Full scalar report; for the zero field the residual entry is set to 0."""
-    Q = quadratic_form(u, M, params)
+    F = to_spectral(u)
+    Q = quadratic_form(F, M, params)
     lp = lp_integral(u, params.p)
     I = 0.5 * Q - lp / params.p
     J = Q - lp
-    res = residual(u, M, params) if norm_l2(u) > 0.0 else 0.0
+    scale = norm_l2(u)
+    res = 0.0
+    if scale > 0.0:
+        lhs = to_physical(SpectralField(u.grid, (M.table + params.mu) * F.coeffs))
+        r = lhs.values - odd_power(u.values, params.p)
+        res = float(np.sqrt(u.grid.cell_volume * np.sum(r * r))) / scale
     gap = abs(I - (0.5 - 1.0 / params.p) * lp)
     return EnergyReport(Q=Q, lp=lp, I=I, J=J, residual=res, identity_gap=gap)
 

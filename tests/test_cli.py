@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -24,6 +25,19 @@ def test_solve_command(tiny_config, tmp_path, capsys):
 def test_invalid_c_reports_error(tiny_config, capsys):
     assert main(["solve", "--c", "0.5", "--config", str(tiny_config)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schedule, reason", [
+    ([1, math.inf], "must be finite"),
+    ([32, 32.00001], "snapshot labels"),
+])
+def test_unsafe_schedule_rejected(tmp_path, capsys, schedule, reason):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"c_schedule": schedule, "output_dir": str(tmp_path / "out")}))
+    assert main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: c_schedule") and reason in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_limit_state(tiny_config):

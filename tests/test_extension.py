@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,35 +10,45 @@ from prnls.extension import (
     hhalf_form_total,
     lattice_mode_energies,
     lattice_perturbation_surplus,
-    mode_extension,
-    trace_form,
 )
 
 DELTAS = np.logspace(-6.0, 3.0, 19)
+MODE_111 = (1, 1, 1)
+
+
+@pytest.fixture(scope="module")
+def unit_grid():
+    """L = 2*pi makes every lattice frequency an integer: mode (1, 1, 1) has |xi|^2 = 3."""
+    return P.make_grid(3, 2.0 * math.pi, 16)
+
+
+def params3(c=1.0, m=1.0):
+    return P.PhysParams(m=m, mu=1.0, c=c, p=2.5, n=3)
 
 
 class TestModeEnergy:
-    def test_zero_mode_closed_form(self, make_params):
-        pp = make_params(c=3.0, m=1.5)
-        ext = mode_extension(0.0, 1.0, pp)
+    def test_zero_mode_closed_form(self, unit_grid):
+        pp = params3(c=3.0, m=1.5)
+        ext, trace = lattice_mode_energies(unit_grid, pp)
         expect = pp.m * pp.c**2  # m c^2 |u_hat|^2 at xi = 0
-        assert P.mode_energy(ext, pp) == pytest.approx(expect, rel=1e-14)
-        assert trace_form(ext, pp) == pytest.approx(expect, rel=1e-14)
+        assert ext[0, 0, 0] == pytest.approx(expect, rel=1e-14)
+        assert trace[0, 0, 0] == pytest.approx(expect, rel=1e-14)
 
-    def test_hand_value(self, make_params):
-        pp = make_params(c=1.0)
-        ext = mode_extension(3.0, 1.0, pp)
-        assert ext.decay == pytest.approx(2.0)
-        assert P.mode_energy(ext, pp) == pytest.approx(2.0, rel=1e-14)
+    def test_hand_value(self, unit_grid):
+        # m = c = 1, |xi|^2 = 3: decay rate s = 2 and energy (3 + 1 + 4) / 4 = 2
+        ext, trace = lattice_mode_energies(unit_grid, params3())
+        assert unit_grid.xi_sq[MODE_111] == pytest.approx(3.0, rel=1e-14)
+        assert ext[MODE_111] == pytest.approx(2.0, rel=1e-14)
+        assert trace[MODE_111] == pytest.approx(2.0, rel=1e-14)
 
-    def test_decay_at_least_mc(self, grid, make_params):
-        pp = make_params(c=5.0, m=0.7)
-        for xi_sq in (0.0, 1.0, 300.0):
-            assert mode_extension(xi_sq, 1.0, pp).decay >= pp.m * pp.c
-
-    def test_negative_xi_sq_rejected(self, make_params):
-        with pytest.raises(ValueError):
-            mode_extension(-1.0, 1.0, make_params(c=1.0))
+    def test_decay_at_least_mc(self, unit_grid):
+        # every mode decays at rate s >= m c, with equality at xi = 0, so the
+        # admissible competitors are exactly delta > -m c
+        pp = params3(c=5.0, m=0.7)
+        mc = pp.m * pp.c
+        assert np.all(lattice_perturbation_surplus(unit_grid, -mc * (1.0 - 1e-12), pp) > 0.0)
+        with pytest.raises(ValueError, match="decay"):
+            lattice_perturbation_surplus(unit_grid, -mc, pp)
 
     @pytest.mark.parametrize("c", [1.0, 8.0, 32.0])
     def test_equality_on_every_lattice_mode(self, grid, make_params, c):
@@ -46,36 +58,31 @@ class TestModeEnergy:
 
 
 class TestPerturbedModeEnergy:
-    def test_delta_zero_is_equality(self, make_params):
-        pp = make_params(c=1.0)
-        ext = mode_extension(3.0, 1.0, pp)
-        assert P.perturbed_mode_energy(ext, 0.0, pp) == P.mode_energy(ext, pp)
+    def test_delta_zero_is_equality(self, unit_grid):
+        assert np.all(lattice_perturbation_surplus(unit_grid, 0.0, params3()) == 0.0)
 
-    def test_hand_value(self, make_params):
+    def test_hand_value(self, unit_grid):
         # m = c = 1, |xi|^2 = 3, delta = 1: (3 + 1 + 9) / 6 = 13/6
-        pp = make_params(c=1.0)
-        ext = mode_extension(3.0, 1.0, pp)
-        assert P.perturbed_mode_energy(ext, 1.0, pp) == pytest.approx(13.0 / 6.0, rel=1e-14)
+        pp = params3()
+        ext, _ = lattice_mode_energies(unit_grid, pp)
+        surplus = lattice_perturbation_surplus(unit_grid, 1.0, pp)
+        assert ext[MODE_111] + surplus[MODE_111] == pytest.approx(13.0 / 6.0, rel=1e-14)
 
-    def test_matches_literal_closed_form(self, make_params):
-        pp = make_params(c=2.0, m=1.3)
-        for xi_sq in (0.0, 2.0, 50.0):
-            ext = mode_extension(xi_sq, 0.8, pp)
-            for delta in (1e-3, 0.5, 7.0):
-                s = ext.decay + delta
-                literal = (abs(ext.coefficient) ** 2 / pp.c
-                           * (pp.c**2 * xi_sq + (pp.m * pp.c**2) ** 2 + pp.c**2 * s * s)
-                           / (2.0 * s))
-                assert P.perturbed_mode_energy(ext, delta, pp) == pytest.approx(
-                    literal, rel=1e-13)
+    def test_matches_literal_closed_form(self, unit_grid):
+        pp = params3(c=2.0, m=1.3)
+        c, m, xi_sq = pp.c, pp.m, unit_grid.xi_sq
+        ext, _ = lattice_mode_energies(unit_grid, pp)
+        for delta in (1e-3, 0.5, 7.0):
+            s = np.sqrt(xi_sq + (m * c) ** 2) + delta
+            literal = (c**2 * xi_sq + (m * c**2) ** 2 + c**2 * s * s) / (2.0 * s * c)
+            perturbed = ext + lattice_perturbation_surplus(unit_grid, delta, pp)
+            np.testing.assert_allclose(perturbed, literal, rtol=1e-13)
 
-    def test_strictly_larger_for_positive_delta(self, make_params):
-        pp = make_params(c=1.0)
-        for xi_sq in (0.0, 1.0, 630.0):
-            ext = mode_extension(xi_sq, 1.0, pp)
-            base = P.mode_energy(ext, pp)
-            for delta in DELTAS:
-                assert P.perturbed_mode_energy(ext, float(delta), pp) > base
+    def test_strictly_larger_for_positive_delta(self, unit_grid):
+        pp = params3()
+        ext, _ = lattice_mode_energies(unit_grid, pp)
+        for delta in DELTAS:
+            assert np.all(ext + lattice_perturbation_surplus(unit_grid, float(delta), pp) > ext)
 
     @pytest.mark.parametrize("c", [1.0, 32.0])
     def test_strict_surplus_on_whole_lattice(self, grid, make_params, c):
@@ -83,18 +90,18 @@ class TestPerturbedModeEnergy:
         for delta in DELTAS:
             assert np.all(lattice_perturbation_surplus(grid, float(delta), pp) > 0.0)
 
-    def test_grows_without_bound(self, make_params):
-        pp = make_params(c=1.0)
-        ext = mode_extension(3.0, 1.0, pp)
-        vals = [P.perturbed_mode_energy(ext, d, pp) for d in (1e2, 1e4, 1e6)]
+    def test_grows_without_bound(self, unit_grid):
+        pp = params3()
+        ext, _ = lattice_mode_energies(unit_grid, pp)
+        vals = [ext[MODE_111] + lattice_perturbation_surplus(unit_grid, d, pp)[MODE_111]
+                for d in (1e2, 1e4, 1e6)]
         assert vals[0] < vals[1] < vals[2]
         assert vals[2] > 1e5
 
-    def test_nondecaying_competitor_rejected(self, make_params):
-        pp = make_params(c=1.0)
-        ext = mode_extension(3.0, 1.0, pp)
+    def test_nondecaying_competitor_rejected(self, unit_grid):
+        # delta = -2 stops mode (1, 1, 1), whose decay rate is 2
         with pytest.raises(ValueError, match="decay"):
-            P.perturbed_mode_energy(ext, -ext.decay, pp)
+            lattice_perturbation_surplus(unit_grid, -2.0, params3())
 
 
 class TestNeumannConsistency:

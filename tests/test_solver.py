@@ -47,9 +47,12 @@ class TestSolve:
         assert again.converged and again.iterations <= 2
         assert P.h1_distance(again.field, limit_state.field) <= 1e-8
 
-    def test_one_step_fixed_point_consistency(self, deep_state, limit_mult, params_inf):
-        stepped = P.petviashvili_step(deep_state.field, limit_mult, params_inf)
-        assert P.h1_distance(stepped, deep_state.field) <= 1e-10
+    def test_one_step_fixed_point_consistency(self, grid, deep_state, limit_mult, params_inf):
+        # a tolerance below the deep state's residual forces exactly one step
+        cfg = SolverConfig(init_field=deep_state.field, tol_residual=1e-14, max_iter=1)
+        stepped = P.solve_ground_state(params_inf, grid, limit_mult, cfg)
+        assert stepped.iterations == 1
+        assert P.h1_distance(stepped.field, deep_state.field) <= 1e-10
 
     def test_radial_symmetry_from_radial_init(self, limit_state, state_c1):
         assert P.radial_scatter(limit_state.field) <= 1e-6
@@ -115,6 +118,11 @@ class TestProjectedGradient:
 
     def test_matches_oracle(self, pg_state, oracle_profile):
         assert P.compare_profiles(pg_state, oracle_profile) <= 1e-3
+
+    def test_nonconvergence_reported_not_raised(self, grid, params_inf, limit_mult):
+        gs = P.projected_gradient_solve(params_inf, grid, limit_mult, SolverConfig(max_iter=3))
+        assert not gs.converged
+        assert gs.iterations == 3
 
 
 class TestRecenter:

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +58,41 @@ class TestRunConfig:
     def test_unknown_solver_key_rejected(self):
         with pytest.raises(ValueError, match="unknown solver"):
             run_config_from_dict({"solver": {"step": 1.0}})
+
+    @pytest.mark.parametrize("raw, section", [
+        ({"params": {"mass": 2.0}}, "params"),
+        ({"grid": {"n": 3}}, "grid"),
+        ({"c_schedual": [1, 2]}, "top-level"),
+    ])
+    def test_unknown_keys_rejected_in_every_section(self, raw, section):
+        with pytest.raises(ValueError, match=f"unknown {section} keys"):
+            run_config_from_dict(raw)
+
+    @pytest.mark.parametrize("raw", [{"params": {"n": 2.5}}, {"grid": {"N": 256.5}}])
+    def test_non_integral_size_rejected(self, raw):
+        with pytest.raises(ValueError, match="must be an integer"):
+            run_config_from_dict(raw)
+
+    def test_integral_float_size_accepted(self):
+        cfg = run_config_from_dict({"params": {"n": 2.0}, "grid": {"N": 64.0}})
+        assert (cfg.n, cfg.N) == (2, 64) and isinstance(cfg.N, int)
+
+    def test_readme_config_block_is_the_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+        assert run_config_from_dict(json.loads(block)) == RunConfig(output_dir="out")
+
+    def test_infinite_c_rejected(self):
+        # the limit state is always solved; a scheduled c = inf would duplicate
+        # its row and overwrite its snapshot
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(c_schedule=(1.0, math.inf))
+
+    def test_colliding_snapshot_labels_rejected(self):
+        # both values would write state_c32.*
+        with pytest.raises(ValueError, match="snapshot labels"):
+            RunConfig(c_schedule=(32.0, 32.00001))
+        assert RunConfig(c_schedule=(32.0, 32.0001)).c_schedule == (32.0, 32.0001)
 
 class TestRunSweep:
     def test_row_and_snapshot_counts(self, tiny_result):
