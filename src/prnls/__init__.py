@@ -10,7 +10,6 @@ from .model import (
     gaussian_field,
     grad_norm_sq,
     inner_l2,
-    interpolate_to,
     make_grid,
     norm_h1,
     norm_hhalf,
@@ -51,7 +50,6 @@ from .sweep import (
 )
 from .symbol import (
     Multiplier,
-    apply_multiplier,
     eval_limit_symbol,
     eval_relativistic_symbol,
     limit_multiplier,

@@ -37,10 +37,12 @@ from .sweep import (
 )
 from .symbol import limit_multiplier, relativistic_multiplier
 
-J_REL_TOL = 1e-8
-IDENTITY_REL_TOL = 1e-8
-POSITIVITY_TOL = 1e-10
-SCATTER_TOL = 1e-6
+# The check tolerances, shared with the acceptance suite.
+J_REL_TOL = 1e-8          # |J| / Q at a computed state
+IDENTITY_REL_TOL = 1e-8   # |I - (1/2 - 1/p) ||u||_p^p| / |I|
+POSITIVITY_TOL = 1e-10    # -min u / max u
+SCATTER_TOL = 1e-6        # radial_scatter
+LATTICE_TOL = 1e-12       # per-mode extension identities and Neumann consistency
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -124,7 +126,7 @@ def cmd_extension_check(args) -> int:
         params = cfg.params_at(c)
         ext, trace = lattice_mode_energies(grid, params)
         rel_gap = np.abs(ext - trace) / trace
-        equality = bool(np.max(rel_gap) <= 1e-12)
+        equality = bool(np.max(rel_gap) <= LATTICE_TOL)
         strict = all(bool(np.all(lattice_perturbation_surplus(grid, d, params) > 0.0))
                      for d in deltas)
         rng = np.random.default_rng(0)
@@ -132,10 +134,11 @@ def cmd_extension_check(args) -> int:
         neumann = neumann_consistency(probe, params)
         print(f"  c = {c:g}: max equality gap {np.max(rel_gap):.3e}, "
               f"neumann gap {neumann:.3e}, strict competitors: {strict}")
-        ok &= equality and strict and neumann <= 1e-12
+        ok &= equality and strict and neumann <= LATTICE_TOL
         if i == 0 and cfg.output_dir:
             out = Path(cfg.output_dir)
             out.mkdir(parents=True, exist_ok=True)
+            # one row per half-spectrum mode: the others are conjugates with equal values
             lines = ["index,xi_sq,extension_energy,trace_form,rel_gap"]
             xi = grid.xi_sq.ravel()
             e = np.asarray(ext).ravel()

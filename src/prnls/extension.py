@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Grid, PhysParams, RealField, to_spectral, weighted_power
+from .model import Grid, PhysParams, RealField, to_spectral
 
 
 def _decay_rates(grid: Grid, params: PhysParams) -> np.ndarray:
@@ -57,13 +57,3 @@ def neumann_consistency(u: RealField, params: PhysParams) -> float:
     lhs = c * _decay_rates(u.grid, params)[mask]
     rhs = np.sqrt(c * c * u.grid.xi_sq[mask] + (m * c * c) ** 2)
     return float(np.max(np.abs(lhs - rhs) / rhs))
-
-
-def extension_energy_total(u: RealField, params: PhysParams) -> float:
-    """Extension energy of the whole field, summed mode by mode (Parseval-weighted)."""
-    return weighted_power(u, lattice_mode_energies(u.grid, params)[0])
-
-
-def hhalf_form_total(u: RealField, params: PhysParams) -> float:
-    """The trace-side quadratic form sum of sqrt(c^2 |xi|^2 + m^2 c^4) |u_hat|^2."""
-    return weighted_power(u, lattice_mode_energies(u.grid, params)[1])

@@ -61,7 +61,11 @@ class PhysParams:
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Uniform periodic grid on [0, L)^n with N points (a power of two) per axis."""
+    """Uniform periodic grid on [0, L)^n with N points (a power of two) per axis.
+
+    xi_sq holds |xi|^2 on the half spectrum of real-to-complex transforms
+    (spectral_shape); freqs are the full angular frequencies of one axis.
+    """
 
     n: int
     L: float
@@ -80,12 +84,18 @@ class Grid:
         object.__setattr__(self, "h", self.L / self.N)
         freqs = TWO_PI * np.fft.fftfreq(self.N, d=self.h)
         object.__setattr__(self, "freqs", freqs)
-        mesh = np.meshgrid(*([freqs] * self.n), indexing="ij")
+        half = TWO_PI * np.fft.rfftfreq(self.N, d=self.h)
+        mesh = np.meshgrid(*([freqs] * (self.n - 1)), half, indexing="ij")
         object.__setattr__(self, "xi_sq", sum(a * a for a in mesh))
 
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.N,) * self.n
+
+    @property
+    def spectral_shape(self) -> tuple[int, ...]:
+        """Shape of the half spectrum: the last axis keeps the N//2 + 1 nonnegative frequencies."""
+        return (self.N,) * (self.n - 1) + (self.N // 2 + 1,)
 
     @property
     def cell_volume(self) -> float:
@@ -146,39 +156,40 @@ class RealField:
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Discrete Fourier coefficients of a field, continuum-normalized."""
+    """Continuum-normalized Fourier coefficients of a real field on the half spectrum.
+
+    The modes with a negative last-axis frequency are the complex conjugates
+    of stored ones and are left out (real-to-complex layout, spectral_shape).
+    """
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.grid.shape:
-            raise ValueError(f"coeffs shape {c.shape} does not match grid {self.grid.shape}")
+        if c.shape != self.grid.spectral_shape:
+            raise ValueError(f"coeffs shape {c.shape} does not match the half spectrum "
+                             f"{self.grid.spectral_shape}")
         object.__setattr__(self, "coeffs", c)
 
 
 def to_spectral(f: RealField) -> SpectralField:
-    """Forward transform, normalized so that the discrete Parseval identity
+    """Forward real-to-complex transform, normalized so that the discrete Parseval identity
 
-        h^n * sum(f^2) == (2*pi/L)^n * sum(|coeffs|^2)
+        h^n * sum(f^2) == weighted_power(to_spectral(f))
 
     holds exactly (up to roundoff)."""
-    return SpectralField(f.grid, f.grid.fourier_scale * np.fft.fftn(f.values))
+    coeffs = np.fft.rfftn(f.values)
+    coeffs *= f.grid.fourier_scale
+    return SpectralField(f.grid, coeffs)
 
 
 def to_physical(F: SpectralField) -> RealField:
-    """Inverse transform back to real samples.
-
-    The coefficients must be (numerically) Hermitian-symmetric; a residual
-    imaginary part above 1e-8 of the field scale is rejected.
-    """
-    out = np.fft.ifftn(F.coeffs) / F.grid.fourier_scale
-    scale = np.max(np.abs(out.real))
-    imag = np.max(np.abs(out.imag))
-    if imag > 1e-8 * max(scale, 1e-300):
-        raise ValueError("coefficients do not represent a real field")
-    return RealField(F.grid, np.ascontiguousarray(out.real))
+    """Inverse complex-to-real transform back to real samples."""
+    grid = F.grid
+    out = np.fft.irfftn(F.coeffs, s=grid.shape, axes=tuple(range(grid.n)))
+    out /= grid.fourier_scale
+    return RealField(grid, out)
 
 
 def norm_l2(f: RealField) -> float:
@@ -196,12 +207,18 @@ def inner_l2(f: RealField, g: RealField) -> float:
 
 
 def weighted_power(f: RealField | SpectralField, weight=None) -> float:
-    """(2*pi/L)^n * sum(weight * |f_hat|^2), weight 1 if omitted: every Sobolev norm and
-    quadratic form.  f is a spectrum at hand, or real samples transformed first."""
+    """(2*pi/L)^n * sum(weight * |f_hat|^2) over the full lattice, weight 1 if omitted:
+    every Sobolev norm and quadratic form.  f is a spectrum at hand, or real samples
+    transformed first; weight is a table on the half spectrum.
+
+    The Parseval column weight is 2 on interior columns, which also stand for their
+    conjugate partners, and 1 on the zero and Nyquist columns, which hold their own.
+    """
     F = f if isinstance(f, SpectralField) else to_spectral(f)
     power = F.coeffs.real**2 + F.coeffs.imag**2
     if weight is not None:
         power *= weight
+    power[..., 1:-1] *= 2.0
     return float(F.grid.spectral_weight * np.sum(power))
 
 
@@ -220,25 +237,18 @@ def grad_norm_sq(f: RealField | SpectralField) -> float:
     return weighted_power(f, f.grid.xi_sq)
 
 
-def _derivative_freqs(grid: Grid) -> np.ndarray:
-    # the Nyquist row has no well-defined odd derivative on a real grid; the
-    # standard convention zeroes it
-    kd = grid.freqs.copy()
+def _derivative_freqs(grid: Grid, axis: int) -> np.ndarray:
+    """Angular frequencies of one axis of the half spectrum, shaped to broadcast along it.
+
+    The last axis holds only the nonnegative frequencies.  The Nyquist entry has
+    no well-defined odd derivative on a real grid; the standard convention zeroes it.
+    """
+    last = axis == grid.n - 1
+    kd = TWO_PI * (np.fft.rfftfreq if last else np.fft.fftfreq)(grid.N, d=grid.h)
     kd[grid.N // 2] = 0.0
-    return kd
-
-
-def spectral_gradient(f: RealField) -> list[RealField]:
-    """Gradient components via the Fourier multiplier i*xi (Nyquist row zeroed)."""
-    F = to_spectral(f)
-    kd = _derivative_freqs(f.grid)
-    out = []
-    for axis in range(f.grid.n):
-        shape = [1] * f.grid.n
-        shape[axis] = f.grid.N
-        mult = 1j * kd.reshape(shape)
-        out.append(to_physical(SpectralField(f.grid, mult * F.coeffs)))
-    return out
+    shape = [1] * grid.n
+    shape[axis] = kd.size
+    return kd.reshape(shape)
 
 
 def gaussian_field(grid: Grid, width: float = 1.0, amplitude: float = 1.0) -> RealField:
@@ -268,24 +278,3 @@ def warn_if_poorly_truncated(f: RealField) -> float:
             stacklevel=2,
         )
     return ratio
-
-
-def interpolate_to(f: RealField, N_new: int) -> RealField:
-    """Spectral (zero-padding) interpolation onto a finer grid with N_new points per axis.
-
-    The coarse Nyquist row is dropped. Coefficient values are N-independent in
-    this normalization, so padding is an exact embedding for band-limited fields.
-    """
-    g = f.grid
-    if N_new < g.N:
-        raise ValueError("N_new must not be smaller than the source N")
-    if N_new == g.N:
-        return RealField(g, f.values.copy())
-    fine = make_grid(g.n, g.L, N_new)
-    coarse = np.fft.fftshift(to_spectral(f).coeffs)
-    padded = np.zeros(fine.shape, dtype=np.complex128)
-    off = (N_new - g.N) // 2
-    src = (slice(1, g.N),) * g.n      # drop the coarse Nyquist plane (index 0 after shift)
-    dst = (slice(off + 1, off + g.N),) * g.n
-    padded[dst] = coarse[src]
-    return to_physical(SpectralField(fine, np.fft.ifftshift(padded)))

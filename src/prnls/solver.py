@@ -120,14 +120,10 @@ def subgrid_recenter(f: RealField) -> RealField:
         deltas.append(center - float(np.sum(w * x.reshape(shape))) / total)
     if max(abs(d) for d in deltas) < 1e-14:
         return f
-    F = to_spectral(f)
-    kd = _derivative_freqs(f.grid)
-    phase = np.ones(f.grid.shape, dtype=np.complex128)
+    phase = np.ones(f.grid.spectral_shape, dtype=np.complex128)
     for axis, d in enumerate(deltas):
-        shape = [1] * f.grid.n
-        shape[axis] = f.grid.N
-        phase = phase * np.exp(-1j * d * kd).reshape(shape)
-    return to_physical(SpectralField(f.grid, phase * F.coeffs))
+        phase = phase * np.exp(-1j * d * _derivative_freqs(f.grid, axis))
+    return to_physical(SpectralField(f.grid, phase * to_spectral(f).coeffs))
 
 
 def radial_scatter(f: RealField) -> float:

@@ -108,17 +108,29 @@ def run_config_from_dict(raw: dict) -> RunConfig:
     """Build a RunConfig from the parsed configuration file.
 
     All keys are optional: a missing one keeps its RunConfig or SolverConfig
-    default.  Unknown keys are rejected.
+    default.  Unknown keys and values of the wrong JSON type are rejected
+    with a ValueError.
     """
+    if not isinstance(raw, dict):
+        raise ValueError(f"the configuration must be a JSON object, got {raw!r}")
     sections = [("top-level", raw, (*_CONFIG_KEYS, "c_schedule", "output_dir"))]
     sections += [(name, raw.get(name, {}), keys) for name, keys in _CONFIG_KEYS.items()]
     for name, section, keys in sections:
+        if not isinstance(section, dict):
+            raise ValueError(f"{name} must be a JSON object, got {section!r}")
         unknown = set(section) - set(keys)
         if unknown:
             raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    if not isinstance(raw.get("c_schedule", []), list):
+        raise ValueError(f"c_schedule must be a list of numbers, got {raw['c_schedule']!r}")
+    if not isinstance(raw.get("output_dir", ""), (str, type(None))):
+        raise ValueError(f"output_dir must be a string or null, got {raw['output_dir']!r}")
     top = {k: raw[k] for k in ("c_schedule", "output_dir") if k in raw}
-    return RunConfig(**raw.get("params", {}), **raw.get("grid", {}), **top,
-                     solver=SolverConfig(**raw.get("solver", {})))
+    try:
+        return RunConfig(**raw.get("params", {}), **raw.get("grid", {}), **top,
+                         solver=SolverConfig(**raw.get("solver", {})))
+    except TypeError as exc:  # e.g. a null where a number belongs
+        raise ValueError(f"configuration value of the wrong type: {exc}") from None
 
 
 def load_run_config(path: str | Path) -> RunConfig:

@@ -1,4 +1,4 @@
-"""The relativistic kinetic symbol, its quadratic-dispersion limit, and multiplier actions.
+"""The relativistic kinetic symbol, its quadratic-dispersion limit, and multiplier tables.
 
 The shifted relativistic symbol sqrt(c^2|xi|^2 + m^2 c^4) - m c^2 is always
 evaluated through the algebraically equivalent quotient
@@ -16,19 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
-    Grid,
-    PhysParams,
-    RealField,
-    SpectralField,
-    to_physical,
-    to_spectral,
-    weighted_power,
-)
+from .model import Grid, PhysParams, RealField, to_spectral, weighted_power
 
 RELATIVISTIC = "relativistic"
 LIMIT = "limit"
-CUSTOM = "custom"
 
 
 def _scalar_or_array(out: np.ndarray):
@@ -95,7 +86,7 @@ def sandwich_holds(xi_sq, params: PhysParams) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Multiplier:
-    """A diagonal Fourier multiplier: per-lattice-point symbol values on a grid."""
+    """A diagonal Fourier multiplier: symbol values on the grid's half spectrum."""
 
     kind: str
     params: PhysParams
@@ -104,8 +95,8 @@ class Multiplier:
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=np.float64)
-        if t.shape != self.grid.shape:
-            raise ValueError("table shape does not match grid")
+        if t.shape != self.grid.spectral_shape:
+            raise ValueError("table shape does not match the grid's half spectrum")
         if not np.all(np.isfinite(t)) or np.any(t < 0.0):
             raise ValueError("multiplier table must be finite and nonnegative")
         if self.kind in (RELATIVISTIC, LIMIT) and t[(0,) * self.grid.n] != 0.0:
@@ -119,18 +110,6 @@ def relativistic_multiplier(grid: Grid, params: PhysParams) -> Multiplier:
 
 def limit_multiplier(grid: Grid, params: PhysParams) -> Multiplier:
     return Multiplier(LIMIT, params, grid, eval_limit_symbol(grid.xi_sq, params))
-
-
-def custom_multiplier(grid: Grid, params: PhysParams, table: np.ndarray) -> Multiplier:
-    return Multiplier(CUSTOM, params, grid, table)
-
-
-def apply_multiplier(M: Multiplier, f: RealField) -> RealField:
-    """to_physical(table * to_spectral(f)); linear and self-adjoint in L2."""
-    if not M.grid.same_layout(f.grid):
-        raise ValueError("grid mismatch between multiplier and field")
-    F = to_spectral(f)
-    return to_physical(SpectralField(f.grid, M.table * F.coeffs))
 
 
 def multiplier_convergence_test(phi: RealField, c_list, params: PhysParams) -> list[float]:

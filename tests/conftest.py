@@ -1,12 +1,33 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
 import prnls as P
 from prnls.sweep import RunConfig, run_sweep
 
 DEFAULTS = dict(m=1.0, mu=1.0, p=3.0, n=2)
+
+
+def interpolate_to(f, N_new):
+    """Spectral (zero-padding) interpolation onto a finer grid with N_new points per axis.
+
+    The coarse Nyquist modes are dropped. Coefficient values are N-independent in
+    this normalization, so padding is an exact embedding for band-limited fields.
+    """
+    g = f.grid
+    if N_new < g.N:
+        raise ValueError("N_new must not be smaller than the source N")
+    fine = P.make_grid(g.n, g.L, N_new)
+    half = g.N // 2
+    low = np.arange(half)
+    high = np.arange(half + 1, g.N)  # negative frequencies, Nyquist left out
+    src = [np.concatenate([low, high])] * (g.n - 1) + [low]
+    dst = [np.concatenate([low, high + (N_new - g.N)])] * (g.n - 1) + [low]
+    padded = np.zeros(fine.spectral_shape, dtype=np.complex128)
+    padded[np.ix_(*dst)] = P.to_spectral(f).coeffs[np.ix_(*src)]
+    return P.to_physical(P.SpectralField(fine, padded))
 
 
 @pytest.fixture(scope="session")

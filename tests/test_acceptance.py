@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the verdict lines inline.
-All tolerances are fixed here; the shared sweep fixture uses the default
-configuration n=2, m=mu=1, p=3, L=32, N=256, c in {1,2,4,8,16,32}.
+All tolerances are fixed: the state and lattice checks take the CLI's
+constants from prnls.cli, the others are written here.  The shared sweep
+fixture uses the default configuration n=2, m=mu=1, p=3, L=32, N=256,
+c in {1,2,4,8,16,32}.
 """
 
 import math
@@ -10,6 +12,7 @@ import math
 import numpy as np
 
 import prnls as P
+from prnls.cli import IDENTITY_REL_TOL, J_REL_TOL, LATTICE_TOL, POSITIVITY_TOL, SCATTER_TOL
 from prnls.extension import lattice_mode_energies, lattice_perturbation_surplus
 from prnls.sweep import RunConfig, records_to_csv, run_sweep
 
@@ -41,7 +44,7 @@ def test_criterion_02_nehari_energy_identity(sweep_result):
         rep = gs.report
         worst_j = max(worst_j, abs(rep.J) / rep.Q)
         worst_gap = max(worst_gap, rep.identity_gap / abs(rep.I))
-    ok = worst_j <= 1e-8 and worst_gap <= 1e-8
+    ok = worst_j <= J_REL_TOL and worst_gap <= IDENTITY_REL_TOL
     _verdict(2, "nehari-energy-identity", ok,
              f"max |J|/Q={worst_j:.2e}, max identity gap={worst_gap:.2e}")
 
@@ -81,7 +84,7 @@ def test_criterion_05_trace_inequality(grid, make_params):
         for d in deltas:
             surplus = lattice_perturbation_surplus(grid, float(d), pp)
             strict &= bool(np.all(ext + surplus > ext))
-    ok = worst_gap <= 1e-12 and strict
+    ok = worst_gap <= LATTICE_TOL and strict
     _verdict(5, "trace-inequality", ok,
              f"max equality gap={worst_gap:.2e}, strict competitors={strict}")
 
@@ -124,10 +127,10 @@ def test_criterion_09_sign_and_symmetry(sweep_result, asym_state):
     worst_scatter = 0.0
     for gs in sweep_result.states + (sweep_result.limit_state,):
         v = gs.field.values
-        pos_ok &= float(np.min(v)) >= -1e-10 * float(np.max(v))
+        pos_ok &= float(np.min(v)) >= -POSITIVITY_TOL * float(np.max(v))
         s = P.radial_scatter(gs.field)
         worst_scatter = max(worst_scatter, s)
-        scat_ok &= s <= 1e-6
+        scat_ok &= s <= SCATTER_TOL
     recovery = P.radial_scatter(asym_state.field)
     rec_ok = asym_state.converged and recovery <= 1e-3
     _verdict(9, "sign-and-symmetry", pos_ok and scat_ok and rec_ok,

@@ -40,6 +40,24 @@ def test_unsafe_schedule_rejected(tmp_path, capsys, schedule, reason):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("raw, key", [
+    ({"c_schedule": 4}, "c_schedule"),
+    ({"params": [1]}, "params"),
+    ({"grid": "N=64"}, "grid"),
+    ({"solver": None}, "solver"),
+    ([1], "configuration"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"c_schedule": [1, None]}, "wrong type"),
+    ({"solver": {"tol_residual": None}}, "wrong type"),
+])
+def test_config_type_error_exits_2(tmp_path, capsys, raw, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 def test_solve_limit_state(tiny_config):
     assert main(["solve", "--c", "inf", "--config", str(tiny_config)]) == 0
 

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 import prnls as P
-from prnls.extension import (
-    extension_energy_total,
-    hhalf_form_total,
-    lattice_mode_energies,
-    lattice_perturbation_surplus,
-)
+from prnls.extension import lattice_mode_energies, lattice_perturbation_surplus
 
 DELTAS = np.logspace(-6.0, 3.0, 19)
 MODE_111 = (1, 1, 1)
@@ -122,7 +117,8 @@ class TestNeumannConsistency:
 
 class TestWholeFieldEquivalence:
     def test_ground_state_extension_energy_equals_trace_form(self, state_c1, make_params):
-        pp = make_params(c=1.0)
-        a = extension_energy_total(state_c1.field, pp)
-        b = hhalf_form_total(state_c1.field, pp)
+        # extension energy and trace form of the whole field, summed mode by mode
+        ext, trace = lattice_mode_energies(state_c1.field.grid, make_params(c=1.0))
+        F = P.to_spectral(state_c1.field)
+        a, b = P.weighted_power(F, ext), P.weighted_power(F, trace)
         assert abs(a - b) <= 1e-10 * b

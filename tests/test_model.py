@@ -4,7 +4,28 @@ import numpy as np
 import pytest
 
 import prnls as P
-from prnls.model import spectral_gradient
+from conftest import interpolate_to
+from prnls.model import _derivative_freqs
+
+
+def spectral_gradient(f):
+    """Gradient components via the Fourier multiplier i*xi (Nyquist entries zeroed)."""
+    F = P.to_spectral(f)
+    return [P.to_physical(P.SpectralField(f.grid, 1j * _derivative_freqs(f.grid, axis) * F.coeffs))
+            for axis in range(f.grid.n)]
+
+
+def full_xi_sq(grid):
+    """|xi|^2 on the full lattice, in the layout of np.fft.fftn."""
+    mesh = np.meshgrid(*([grid.freqs] * grid.n), indexing="ij")
+    return sum(a * a for a in mesh)
+
+
+def full_weighted_power(f, weight_of):
+    """Reference for weighted_power: the full complex transform, weight_of(|xi|^2)
+    on the full lattice, every mode counted once."""
+    F = f.grid.fourier_scale * np.fft.fftn(f.values)
+    return f.grid.spectral_weight * np.sum(weight_of(full_xi_sq(f.grid)) * np.abs(F) ** 2)
 
 
 def band_limited_field(grid, seed, damp=8.0):
@@ -60,7 +81,7 @@ class TestGrid:
     def test_3d_grid(self):
         g = P.make_grid(3, 16.0, 64)
         assert g.h == 0.25
-        assert g.xi_sq.shape == (64, 64, 64)
+        assert g.xi_sq.shape == g.spectral_shape == (64, 64, 33)
 
     def test_frequency_lattice_symmetric_but_nyquist(self):
         g = P.make_grid(2, 32.0, 64)
@@ -85,7 +106,7 @@ class TestTransforms:
         f = P.RealField(grid, rng.standard_normal(grid.shape))
         F = P.to_spectral(f)
         phys = grid.cell_volume * np.sum(f.values**2)
-        spectral = grid.spectral_weight * np.sum(np.abs(F.coeffs) ** 2)
+        spectral = P.weighted_power(F)
         assert abs(phys - spectral) <= 1e-12 * phys
 
     def test_constant_is_dc_mode(self, grid):
@@ -105,12 +126,6 @@ class TestTransforms:
         assert {tuple(i) for i in nonzero} == {(1, 0), (grid.N - 1, 0)}
         assert np.isclose(C[1, 0], np.conj(C[grid.N - 1, 0]))
 
-    def test_to_physical_rejects_non_hermitian(self, grid):
-        coeffs = np.zeros(grid.shape, dtype=complex)
-        coeffs[1, 2] = 1.0  # no conjugate partner
-        with pytest.raises(ValueError, match="real"):
-            P.to_physical(P.SpectralField(grid, coeffs))
-
     def test_shape_validation(self, grid):
         with pytest.raises(ValueError):
             P.RealField(grid, np.zeros((grid.N, grid.N + 1)))
@@ -118,6 +133,8 @@ class TestTransforms:
             P.RealField(grid, np.full(grid.shape, np.nan))
         with pytest.raises(ValueError):
             P.SpectralField(grid, np.zeros((4, 4), dtype=complex))
+        with pytest.raises(ValueError, match="half spectrum"):
+            P.SpectralField(grid, np.zeros(grid.shape, dtype=complex))
 
 
 class TestNorms:
@@ -163,9 +180,41 @@ class TestNorms:
 class TestInterpolation:
     def test_refinement_matches_at_shared_points(self, grid):
         f = P.gaussian_field(grid, 2.0)
-        fine = P.interpolate_to(f, 512)
+        fine = interpolate_to(f, 512)
         assert np.max(np.abs(fine.values[::2, ::2] - f.values)) <= 1e-11
 
     def test_rejects_coarsening(self, grid):
         with pytest.raises(ValueError):
-            P.interpolate_to(P.gaussian_field(grid, 2.0), 128)
+            interpolate_to(P.gaussian_field(grid, 2.0), 128)
+
+
+class TestHalfSpectrum:
+    """The real-to-complex layout against the full complex transform."""
+
+    @pytest.fixture(params=[2, 3], ids=["2d", "3d"])
+    def noise(self, request):
+        # white noise: every mode is populated, the Nyquist ones included
+        n = request.param
+        g = P.make_grid(n, 16.0, 64 if n == 2 else 32)
+        return P.RealField(g, np.random.default_rng(700 + n).standard_normal(g.shape))
+
+    @pytest.mark.parametrize("weight", ["one", "h1", "relativistic"])
+    def test_weighted_power_matches_full_transform(self, noise, weight):
+        params = P.PhysParams(m=1.0, mu=1.0, c=2.0, p=2.5, n=noise.grid.n)
+        weight_of = {
+            "one": np.ones_like,
+            "h1": lambda xi_sq: 1.0 + xi_sq,
+            "relativistic": lambda xi_sq: P.eval_relativistic_symbol(xi_sq, params),
+        }[weight]
+        got = P.weighted_power(noise, weight_of(noise.grid.xi_sq))
+        assert got == pytest.approx(full_weighted_power(noise, weight_of), rel=1e-13)
+
+    def test_roundtrip(self, noise):
+        back = P.to_physical(P.to_spectral(noise))
+        assert np.max(np.abs(back.values - noise.values)) <= 1e-14 * np.max(np.abs(noise.values))
+
+    def test_coefficients_are_the_stored_half_of_the_full_transform(self, noise):
+        full = noise.grid.fourier_scale * np.fft.fftn(noise.values)
+        half = P.to_spectral(noise).coeffs
+        np.testing.assert_allclose(half, full[..., : noise.grid.N // 2 + 1],
+                                   rtol=0, atol=1e-13 * np.max(np.abs(full)))

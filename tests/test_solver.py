@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import prnls as P
+from conftest import interpolate_to
 from prnls.solver import SolverConfig
 from prnls.variational import residual
 
@@ -79,7 +80,7 @@ class TestSolve:
     def test_interpolated_residual_stays_small(self, params_inf, limit_state):
         fine_grid = P.make_grid(2, 32.0, 512)
         M = P.limit_multiplier(fine_grid, params_inf)
-        lifted = P.interpolate_to(limit_state.field, 512)
+        lifted = interpolate_to(limit_state.field, 512)
         fine_res = residual(lifted, M, params_inf)
         assert fine_res <= 10.0 * limit_state.report.residual
 
@@ -158,6 +159,27 @@ class TestRecenter:
         centroid = float(np.sum(w * x[:, None]) / np.sum(w))
         assert abs(centroid - grid.center_coordinate) <= 1e-10
         assert P.norm_l2(out) == pytest.approx(P.norm_l2(f), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_subgrid_recenter_matches_full_complex_shift(self, n):
+        # reference: the same phase shift applied with the full complex transform
+        g = P.make_grid(n, 16.0, 32)
+        offsets = np.array([0.3, -0.2, 0.45][:n]) * g.h
+        coords = np.meshgrid(*([g.axis_coordinates()] * n), indexing="ij")
+        r2 = sum((a - g.center_coordinate - o) ** 2 for a, o in zip(coords, offsets))
+        f = P.RealField(g, np.exp(-r2 / 4.0))
+        w = f.values**2
+        deltas = [g.center_coordinate - float(np.sum(w * a)) / float(np.sum(w)) for a in coords]
+        kd = g.freqs.copy()
+        kd[g.N // 2] = 0.0
+        phase = 1.0
+        for axis, d in enumerate(deltas):
+            shape = [1] * n
+            shape[axis] = g.N
+            phase = phase * np.exp(-1j * d * kd).reshape(shape)
+        expect = np.fft.ifftn(phase * np.fft.fftn(f.values)).real
+        out = P.subgrid_recenter(f)
+        assert np.max(np.abs(out.values - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 class TestRadialScatter:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import prnls as P
-from prnls.symbol import custom_multiplier
 
 
 def eval_relativistic_symbol_naive(xi_sq, params):
@@ -14,6 +13,11 @@ def eval_relativistic_symbol_naive(xi_sq, params):
     xi_sq = np.asarray(xi_sq, dtype=np.float64)
     out = np.sqrt(c * c * xi_sq + (m * c * c) ** 2) - m * c * c
     return float(out) if out.ndim == 0 else out
+
+
+def apply_multiplier(M, f):
+    """to_physical(table * to_spectral(f)); linear and self-adjoint in L2."""
+    return P.to_physical(P.SpectralField(f.grid, M.table * P.to_spectral(f).coeffs))
 
 
 class TestSymbolValues:
@@ -112,13 +116,16 @@ class TestMultiplier:
 
     def test_rejects_bad_tables(self, grid, make_params):
         pp = make_params(c=2.0)
-        with pytest.raises(ValueError):
-            custom_multiplier(grid, pp, -np.ones(grid.shape))
-        with pytest.raises(ValueError):
-            custom_multiplier(grid, pp, np.full(grid.shape, np.inf))
+        P.Multiplier("custom", pp, grid, np.ones(grid.spectral_shape))
+        with pytest.raises(ValueError, match="nonnegative"):
+            P.Multiplier("custom", pp, grid, -np.ones(grid.spectral_shape))
+        with pytest.raises(ValueError, match="finite"):
+            P.Multiplier("custom", pp, grid, np.full(grid.spectral_shape, np.inf))
+        with pytest.raises(ValueError, match="half spectrum"):
+            P.Multiplier("custom", pp, grid, np.ones(grid.shape))
 
     def test_zero_field_maps_to_zero(self, grid, limit_mult):
-        out = P.apply_multiplier(limit_mult, P.RealField(grid, np.zeros(grid.shape)))
+        out = apply_multiplier(limit_mult, P.RealField(grid, np.zeros(grid.shape)))
         assert np.all(out.values == 0.0)
 
     def test_cos_mode_is_eigenfunction(self, grid, make_params):
@@ -128,12 +135,12 @@ class TestMultiplier:
         vals = np.cos(2 * np.pi * x / grid.L)[:, None] * np.ones((1, grid.N))
         f = P.RealField(grid, vals)
         eig = P.eval_relativistic_symbol((2 * np.pi / grid.L) ** 2, pp)
-        out = P.apply_multiplier(M, f)
+        out = apply_multiplier(M, f)
         assert np.max(np.abs(out.values - eig * vals)) <= 1e-12
 
     def test_limit_multiplier_on_gaussian_is_half_laplacian(self, grid, limit_mult):
         f = P.gaussian_field(grid, 1.0)
-        out = P.apply_multiplier(limit_mult, f)
+        out = apply_multiplier(limit_mult, f)
         r2 = grid.radius_sq()
         exact = 0.5 * (2.0 - r2) * np.exp(-r2 / 2.0)
         interior = r2 <= 64.0
@@ -145,14 +152,14 @@ class TestMultiplier:
         M = P.relativistic_multiplier(grid, make_params(c=3.0))
         f = P.RealField(grid, rng.standard_normal(grid.shape))
         g2 = P.RealField(grid, rng.standard_normal(grid.shape))
-        a = P.inner_l2(P.apply_multiplier(M, f), g2)
-        b = P.inner_l2(f, P.apply_multiplier(M, g2))
+        a = P.inner_l2(apply_multiplier(M, f), g2)
+        b = P.inner_l2(f, apply_multiplier(M, g2))
         assert abs(a - b) <= 1e-11 * max(abs(a), 1.0)
 
-    def test_grid_mismatch_rejected(self, grid, limit_mult):
+    def test_grid_mismatch_rejected(self, grid, limit_mult, params_inf):
         other = P.make_grid(2, 32.0, 128)
         with pytest.raises(ValueError, match="mismatch"):
-            P.apply_multiplier(limit_mult, P.RealField(other, np.zeros(other.shape)))
+            P.quadratic_form(P.RealField(other, np.zeros(other.shape)), limit_mult, params_inf)
 
 
 class TestMultiplierConvergence:
@@ -174,7 +181,7 @@ class TestMultiplierConvergence:
         phi = P.gaussian_field(grid, 1.0)
         (e4,) = P.multiplier_convergence_test(phi, [4], params_inf)
         pp = make_params(c=4.0)
-        diff = (P.apply_multiplier(P.relativistic_multiplier(grid, pp), phi).values
-                - P.apply_multiplier(P.limit_multiplier(grid, pp), phi).values)
+        diff = (apply_multiplier(P.relativistic_multiplier(grid, pp), phi).values
+                - apply_multiplier(P.limit_multiplier(grid, pp), phi).values)
         literal = P.norm_l2(P.RealField(grid, diff))
         assert e4 == pytest.approx(literal, rel=1e-12)
