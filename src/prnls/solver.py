@@ -28,6 +28,7 @@ from .model import (
     RealField,
     SpectralField,
     _derivative_freqs,
+    _re_dot,
     gaussian_field,
     norm_h1,
     to_physical,
@@ -57,8 +58,11 @@ class SolverConfig:
     fallback_step: float = 0.5
 
     def __post_init__(self):
-        if not self.tol_residual > 0.0:
-            raise ValueError("tol_residual must be positive")
+        if not (self.tol_residual > 0.0 and math.isfinite(self.tol_residual)):
+            raise ValueError("tol_residual must be positive and finite")
+        if not float(self.max_iter).is_integer():
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.gamma is not None and not self.gamma > 1.0:
@@ -72,13 +76,22 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class GroundState:
-    """A converged (or best-effort) state plus its scalar diagnostics."""
+    """A converged (or best-effort) state plus its scalar diagnostics.
+
+    stop_reason says why the iteration stopped: "converged" (the loop's residual
+    test passed), "max_iter", "pairing_collapse" (the Petviashvili pairing
+    <u_+^{p-1}, u> is not positive) or "nonfinite_candidate" (a projected-gradient
+    candidate without a finite Nehari rescaling); None for a state not computed
+    by a solver.  converged is the separate check of the final,
+    gauge-fixed state against the tolerance.
+    """
 
     field: RealField
     report: EnergyReport
     iterations: int
     converged: bool
     params: PhysParams
+    stop_reason: str | None = None
 
 
 def recenter(f: RealField) -> RealField:
@@ -155,7 +168,7 @@ def h1_distance(f: RealField, g: RealField) -> float:
 
 
 def _finalize(values: np.ndarray, grid: Grid, M: Multiplier, params: PhysParams,
-              cfg: SolverConfig, iterations: int) -> GroundState:
+              cfg: SolverConfig, iterations: int, stop_reason: str) -> GroundState:
     f = recenter(RealField(grid, values))
     f = subgrid_recenter(f)
     f = recenter(f)
@@ -168,18 +181,20 @@ def _finalize(values: np.ndarray, grid: Grid, M: Multiplier, params: PhysParams,
     if converged:
         warn_if_poorly_truncated(f)
     return GroundState(field=f, report=report, iterations=iterations,
-                       converged=converged, params=params)
+                       converged=converged, params=params, stop_reason=stop_reason)
 
 
 def _iterate(params: PhysParams, grid: Grid, M: Multiplier, cfg: SolverConfig,
              step) -> GroundState:
-    """The loop both solvers share.
+    """The loop both solvers share, on work buffers allocated once per solve.
 
     Each pass stops once the spectral residual ||(A + mu) u - u_+^{p-1}|| / ||u||
     is within half the tolerance, or after max_iter steps.  Otherwise
-    step(u, U, nl, NL, D) returns the next (samples, spectrum), or None to stop
-    (that step still counts).  Samples None are transformed from the spectrum
-    here, after the old spectrum is freed: holding it slows the loop.
+    step(u, U, nl, NL, D, q) overwrites the samples u and the spectrum U with
+    the next iterate and returns None, or returns the reason to stop (that step
+    still counts).  On entry nl = u_+^{p-1}, NL is its spectrum, D = A + mu,
+    q = Q(u), and U holds scratch.  The buffers are released before the state
+    is finalized.
     """
     if not M.grid.same_layout(grid):
         raise ValueError("multiplier grid does not match the solve grid")
@@ -187,26 +202,33 @@ def _iterate(params: PhysParams, grid: Grid, M: Multiplier, cfg: SolverConfig,
     if not init.grid.same_layout(grid):
         raise ValueError("init_field grid does not match the solve grid")
     D = M.table + params.mu
-    u = nehari_project(init, M, params)[1].values
+    sqrt_D = np.sqrt(D)
+    u = nehari_project(init, M, params)[1].values  # a new array, the loop's own
     U = to_spectral(RealField(grid, u)).coeffs
+    nl, NL = np.empty_like(u), np.empty_like(U)
+    reason = "max_iter"
     for it in range(cfg.max_iter + 1):
-        nl = clamped_power(u, params.p)
-        NL = to_spectral(RealField(grid, nl)).coeffs
-        res_sq = weighted_power(SpectralField(grid, D * U - NL))
-        u_sq = grid.cell_volume * np.sum(u * u)
+        clamped_power(u, params.p, out=nl)
+        to_spectral(RealField(grid, nl), out=NL)
+        U *= sqrt_D
+        q = weighted_power(SpectralField(grid, U))
+        U *= sqrt_D
+        U -= NL
+        res_sq = weighted_power(SpectralField(grid, U))
+        u_sq = grid.cell_volume * _re_dot(u, u)
         if u_sq > BLOWUP_NORM**2:
             raise BlowUpError(f"iterate norm exceeded {BLOWUP_NORM:.0e}")
-        if ((u_sq > 0.0 and math.sqrt(res_sq / u_sq) <= 0.5 * cfg.tol_residual)
-                or it == cfg.max_iter):
+        if u_sq > 0.0 and math.sqrt(res_sq / u_sq) <= 0.5 * cfg.tol_residual:
+            reason = "converged"
             break
-        nxt = step(u, U, nl, NL, D)
-        if nxt is None:
-            it += 1
+        if it == cfg.max_iter:
             break
-        u, U = nxt
-        if u is None:
-            u = to_physical(SpectralField(grid, U)).values
-    return _finalize(u, grid, M, params, cfg, it)
+        stop = step(u, U, nl, NL, D, q)
+        if stop is not None:
+            reason, it = stop, it + 1
+            break
+    del U, nl, NL, D, sqrt_D
+    return _finalize(u, grid, M, params, cfg, it, reason)
 
 
 def solve_ground_state(params: PhysParams, grid: Grid, M: Multiplier,
@@ -214,22 +236,23 @@ def solve_ground_state(params: PhysParams, grid: Grid, M: Multiplier,
     """Petviashvili iteration to the relative-residual target.
 
     Deterministic for a fixed configuration.  Raises BlowUpError when the
-    iterate's norm passes 1e12; plain non-convergence is returned as
-    converged=False with the last iterate.
+    iterate's norm passes 1e12 or it becomes non-finite; plain non-convergence
+    is returned as converged=False with the last iterate and its stop_reason.
     """
     cfg = cfg or SolverConfig()
     gamma = cfg.resolved_gamma(params.p)
 
-    def step(u, U, nl, NL, D):
-        q = weighted_power(SpectralField(grid, U), D)
-        pairing = grid.cell_volume * np.sum(nl * u)
+    def step(u, U, nl, NL, D, q):
+        pairing = grid.cell_volume * _re_dot(nl, u)
         if pairing <= 0.0 or not math.isfinite(pairing):
-            return None
+            return "pairing_collapse"
         with np.errstate(over="ignore", invalid="ignore"):  # blow-up is caught below
-            U = (q / pairing) ** gamma * NL / D
+            np.multiply(NL, (q / pairing) ** gamma, out=U)
+            np.divide(U, D, out=U)
         if not np.all(np.isfinite(U)):
             raise BlowUpError("iterate became non-finite")
-        return None, U
+        to_physical(SpectralField(grid, U), out=u)
+        return None
 
     return _iterate(params, grid, M, cfg, step)
 
@@ -244,17 +267,21 @@ def projected_gradient_solve(params: PhysParams, grid: Grid, M: Multiplier,
     cfg = cfg or SolverConfig()
     tau = cfg.fallback_step
 
-    def step(v, V, nl, NL, D):
-        cand = v - tau * (v - to_physical(SpectralField(grid, NL / D)).values)
-        if not np.all(np.isfinite(cand)):
-            return None  # oversized step wrecked the iterate; report non-convergence
-        cand_field = RealField(grid, cand)
-        C = to_spectral(cand_field)
-        q = weighted_power(C, D)
-        lp = lp_integral(cand_field, params.p)
-        if lp <= 0.0 or not (math.isfinite(q) and math.isfinite(lp)):
-            return None
-        t_star = (q / lp) ** (1.0 / (params.p - 2.0))
-        return t_star * cand, t_star * C.coeffs
+    def step(v, V, nl, NL, D, q):
+        w = to_physical(SpectralField(grid, NL / D)).values
+        with np.errstate(over="ignore", invalid="ignore"):  # an oversized step is caught below
+            cand = v - tau * (v - w)
+            if not np.all(np.isfinite(cand)):
+                return "nonfinite_candidate"
+            cand_field = RealField(grid, cand)
+            C = to_spectral(cand_field)
+            qc = weighted_power(C, D)
+            lp = lp_integral(cand_field, params.p)
+        if not (lp > 0.0 and math.isfinite(qc) and math.isfinite(lp)):
+            return "nonfinite_candidate"  # no finite Nehari rescaling
+        t_star = (qc / lp) ** (1.0 / (params.p - 2.0))
+        np.multiply(cand, t_star, out=v)
+        np.multiply(C.coeffs, t_star, out=V)
+        return None
 
     return _iterate(params, grid, M, cfg, step)

@@ -104,12 +104,20 @@ _CONFIG_KEYS = {
 }
 
 
+def _check_number(key: str, value, nullable: bool = False) -> None:
+    """JSON numbers only: true/false and strings are not numbers here."""
+    if value is None and nullable:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} has the wrong type: expected a number, got {value!r}")
+
+
 def run_config_from_dict(raw: dict) -> RunConfig:
     """Build a RunConfig from the parsed configuration file.
 
     All keys are optional: a missing one keeps its RunConfig or SolverConfig
     default.  Unknown keys and values of the wrong JSON type are rejected
-    with a ValueError.
+    with a ValueError that names the key.
     """
     if not isinstance(raw, dict):
         raise ValueError(f"the configuration must be a JSON object, got {raw!r}")
@@ -121,16 +129,18 @@ def run_config_from_dict(raw: dict) -> RunConfig:
         unknown = set(section) - set(keys)
         if unknown:
             raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    for name in _CONFIG_KEYS:
+        for key, value in raw.get(name, {}).items():
+            _check_number(key, value, nullable=key == "gamma")
     if not isinstance(raw.get("c_schedule", []), list):
         raise ValueError(f"c_schedule must be a list of numbers, got {raw['c_schedule']!r}")
+    for c in raw.get("c_schedule", []):
+        _check_number("c_schedule", c)
     if not isinstance(raw.get("output_dir", ""), (str, type(None))):
         raise ValueError(f"output_dir must be a string or null, got {raw['output_dir']!r}")
     top = {k: raw[k] for k in ("c_schedule", "output_dir") if k in raw}
-    try:
-        return RunConfig(**raw.get("params", {}), **raw.get("grid", {}), **top,
-                         solver=SolverConfig(**raw.get("solver", {})))
-    except TypeError as exc:  # e.g. a null where a number belongs
-        raise ValueError(f"configuration value of the wrong type: {exc}") from None
+    return RunConfig(**raw.get("params", {}), **raw.get("grid", {}), **top,
+                     solver=SolverConfig(**raw.get("solver", {})))
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -209,6 +219,7 @@ def save_state(out_dir: str | Path, gs: GroundState, c: float) -> tuple[Path, Pa
         "c": _json_safe(float(c)),
         "params": {k: _json_safe(v) for k, v in dataclasses.asdict(gs.params).items()},
         "iterations": gs.iterations,
+        "stop_reason": gs.stop_reason,
         "converged": gs.converged,
         "report": dataclasses.asdict(gs.report),
     }

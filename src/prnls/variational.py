@@ -41,14 +41,15 @@ class EnergyReport:
 
 
 def _pos_pow(base: np.ndarray, q: float) -> np.ndarray:
-    # base >= 0; small integer exponents dominate in practice
-    if q == 1.0:
-        return base
+    # raises base >= 0, an array the caller owns, to q in place; small integer
+    # exponents dominate in practice
     if q == 2.0:
-        return base * base
-    if q == 3.0:
-        return base * base * base
-    return base**q
+        np.multiply(base, base, out=base)
+    elif q == 3.0:
+        np.multiply(base * base, base, out=base)
+    elif q != 1.0:
+        np.power(base, q, out=base)
+    return base
 
 
 def odd_power(values: np.ndarray, p: float) -> np.ndarray:
@@ -56,9 +57,12 @@ def odd_power(values: np.ndarray, p: float) -> np.ndarray:
     return np.sign(values) * _pos_pow(np.abs(values), p - 1.0)
 
 
-def clamped_power(values: np.ndarray, p: float) -> np.ndarray:
-    """max(u, 0)^{p-1}; the solver's positivity-constrained nonlinearity."""
-    return _pos_pow(np.maximum(values, 0.0), p - 1.0)
+def clamped_power(values: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """max(u, 0)^{p-1}; the solver's positivity-constrained nonlinearity.
+
+    out, an array of the shape of values, receives the result in place of a new array.
+    """
+    return _pos_pow(np.maximum(values, 0.0, out=out), p - 1.0)
 
 
 def lp_integral(u: RealField, p: float) -> float:

@@ -17,6 +17,11 @@ from prnls.extension import lattice_mode_energies, lattice_perturbation_surplus
 from prnls.sweep import RunConfig, records_to_csv, run_sweep
 
 
+def _roundoff(x: float) -> str:
+    """A figure at round-off level, whose digits move with summation order, prints as <1e-12."""
+    return "<1e-12" if abs(x) < 1e-12 else f"{x:.2e}"
+
+
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'}  {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
@@ -46,7 +51,7 @@ def test_criterion_02_nehari_energy_identity(sweep_result):
         worst_gap = max(worst_gap, rep.identity_gap / abs(rep.I))
     ok = worst_j <= J_REL_TOL and worst_gap <= IDENTITY_REL_TOL
     _verdict(2, "nehari-energy-identity", ok,
-             f"max |J|/Q={worst_j:.2e}, max identity gap={worst_gap:.2e}")
+             f"max |J|/Q={_roundoff(worst_j)}, max identity gap={_roundoff(worst_gap)}")
 
 
 def test_criterion_03_uniform_lp_bounds(sweep_result):
@@ -69,7 +74,7 @@ def test_criterion_04_h1_bound(sweep_result):
     slack32 = 2 * m * r32.lp - (r32.grad_sq + 2 * m * mu * r32.l2_sq)
     c32_ok = slack32 >= -0.05 * (2 * m * r32.lp)
     _verdict(4, "H1-bound", lim_ok and c32_ok,
-             f"limit slack rel={lim_slack / (2 * m * lim.lp):.2e}, "
+             f"limit slack rel={_roundoff(lim_slack / (2 * m * lim.lp))}, "
              f"c=32 slack rel={slack32 / (2 * m * r32.lp):.2e}")
 
 

@@ -58,6 +58,25 @@ def test_config_type_error_exits_2(tmp_path, capsys, raw, key):
     assert err.startswith("error: ") and key in err
 
 
+@pytest.mark.parametrize("raw, key", [
+    ({"solver": {"max_iter": True}}, "max_iter"),
+    ({"grid": {"L": "32"}}, "L"),
+    ({"params": {"p": False}}, "p"),
+    ({"params": {"n": "2"}}, "n"),
+    ({"solver": {"gamma": "2"}}, "gamma"),
+    ({"c_schedule": [1, True]}, "c_schedule"),
+    ({"c_schedule": ["4"]}, "c_schedule"),
+    ({"solver": {"max_iter": 2.5}}, "max_iter"),
+])
+def test_non_numbers_rejected(tmp_path, capsys, raw, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(raw, output_dir=str(tmp_path / "out"))))
+    assert main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_limit_state(tiny_config):
     assert main(["solve", "--c", "inf", "--config", str(tiny_config)]) == 0
 

@@ -1,4 +1,7 @@
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ def pg_state(grid, params_inf, limit_mult):
 
 class TestSolve:
     def test_limit_state_converges(self, limit_state):
-        assert limit_state.converged
+        assert limit_state.converged and limit_state.stop_reason == "converged"
         assert limit_state.report.residual <= 1e-9
 
     def test_positivity(self, limit_state, state_c1):
@@ -85,14 +88,45 @@ class TestSolve:
         assert fine_res <= 10.0 * limit_state.report.residual
 
     def test_blowup_raises(self, grid, params_inf, limit_mult):
+        # the non-finite guard: gamma = 60 from a narrow start overflows the step factor
         cfg = SolverConfig(gamma=60.0, init_width=0.3, max_iter=50)
-        with pytest.raises(P.BlowUpError):
+        with pytest.raises(P.BlowUpError, match="^iterate became non-finite$"):
+            P.solve_ground_state(params_inf, grid, limit_mult, cfg)
+
+    def test_blowup_norm_guard(self, grid, params_inf, limit_mult):
+        # a sign-changing start pairs less than it weighs (Q(u) > <u_+^{p-1}, u>), so
+        # gamma = 60 inflates the first step by a large but finite factor
+        base = P.gaussian_field(grid, 2.0).values
+        init = P.RealField(grid, base - 0.5 * P.gaussian_field(grid, 4.0).values)
+        cfg = SolverConfig(init_field=init, gamma=60.0, max_iter=5)
+        with pytest.raises(P.BlowUpError, match=r"^iterate norm exceeded 1e\+12$"):
             P.solve_ground_state(params_inf, grid, limit_mult, cfg)
 
     def test_nonconvergence_reported_not_raised(self, grid, params_inf, limit_mult):
         gs = P.solve_ground_state(params_inf, grid, limit_mult, SolverConfig(max_iter=3))
         assert not gs.converged
         assert gs.iterations == 3
+        assert gs.stop_reason == "max_iter"
+
+    def test_negative_start_reports_pairing_collapse(self, grid, params_inf, limit_mult):
+        # u < 0 everywhere has no positive part: the pairing <u_+^{p-1}, u> is 0
+        init = P.RealField(grid, P.gaussian_field(grid, 2.0).values - 2.0)
+        gs = P.solve_ground_state(params_inf, grid, limit_mult, SolverConfig(init_field=init))
+        assert (gs.stop_reason, gs.iterations, gs.converged) == ("pairing_collapse", 1, False)
+
+    def test_stop_reason_defaults_to_none(self, limit_state):
+        gs = P.GroundState(field=limit_state.field, report=limit_state.report,
+                           iterations=0, converged=True, params=limit_state.params)
+        assert gs.stop_reason is None
+
+    def test_3d_c1_loop_converges_but_state_fails(self):
+        # the sweep-3d c = 1 solve: the loop's clamped residual passes, while the
+        # finalized state's residual (odd power, negative lobes) misses the tolerance
+        pp = P.PhysParams(m=1.0, mu=1.0, c=1.0, p=2.5, n=3)
+        g = P.make_grid(3, 32.0, 64)
+        gs = P.solve_ground_state(pp, g, P.relativistic_multiplier(g, pp))
+        assert (gs.stop_reason, gs.iterations, gs.converged) == ("converged", 120, False)
+        assert gs.report.residual > 1e-9
 
     def test_grid_mismatch_rejected(self, params_inf, limit_mult):
         other = P.make_grid(2, 32.0, 128)
@@ -107,6 +141,32 @@ class TestSolve:
         assert np.min(gs.field.values) >= -1e-10 * np.max(gs.field.values)
 
 
+class TestMemory:
+    @pytest.mark.parametrize("n, N", [(2, 256), (3, 64)])
+    def test_peak_is_flat_in_iterations_and_bounded(self, n, N):
+        # tracemalloc peak of one solve in real-field-sized arrays (8 N^n bytes).
+        # Measured: 7.0 (2D) and 8.2 (3D); 11.6 before the loop ran on work
+        # buffers, and 11.1 when the buffers stay alive through _finalize.
+        pp = P.PhysParams(m=1.0, mu=1.0, c=math.inf, p=3.0 if n == 2 else 2.5, n=n)
+        g = P.make_grid(n, 32.0, N)
+        M = P.limit_multiplier(g, pp)
+
+        def peak_fields(max_iter):
+            cfg = SolverConfig(tol_residual=1e-14, max_iter=max_iter)  # runs all max_iter
+            tracemalloc.start()
+            try:
+                gs = P.solve_ground_state(pp, g, M, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert gs.iterations == max_iter
+            return peak / (8 * N**n)
+
+        short, long = peak_fields(5), peak_fields(60)
+        assert long == pytest.approx(short, abs=0.05)
+        assert long <= 9.0
+
+
 class TestProjectedGradient:
     def test_agrees_with_petviashvili(self, pg_state, limit_state):
         assert pg_state.converged
@@ -116,6 +176,12 @@ class TestProjectedGradient:
         cfg = SolverConfig(fallback_step=10.0, max_iter=60)
         gs = P.projected_gradient_solve(params_inf, grid, limit_mult, cfg)
         assert not gs.converged
+        assert gs.stop_reason == "max_iter"
+
+    def test_overflowing_step_reports_nonfinite_candidate(self, grid, params_inf, limit_mult):
+        cfg = SolverConfig(fallback_step=1e308)
+        gs = P.projected_gradient_solve(params_inf, grid, limit_mult, cfg)
+        assert (gs.stop_reason, gs.iterations, gs.converged) == ("nonfinite_candidate", 1, False)
 
     def test_matches_oracle(self, pg_state, oracle_profile):
         assert P.compare_profiles(pg_state, oracle_profile) <= 1e-3
@@ -124,6 +190,7 @@ class TestProjectedGradient:
         gs = P.projected_gradient_solve(params_inf, grid, limit_mult, SolverConfig(max_iter=3))
         assert not gs.converged
         assert gs.iterations == 3
+        assert gs.stop_reason == "max_iter"
 
 
 class TestRecenter:
@@ -201,12 +268,20 @@ class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SolverConfig(tol_residual=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(tol_residual=math.inf)  # every solve would pass its loop test at once
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
         with pytest.raises(ValueError):
             SolverConfig(gamma=1.0)
         with pytest.raises(ValueError):
             SolverConfig(fallback_step=0.0)
+        with pytest.raises(ValueError, match="integer"):
+            SolverConfig(max_iter=2.5)
+
+    def test_integral_float_max_iter_accepted(self):
+        cfg = SolverConfig(max_iter=5.0)
+        assert cfg.max_iter == 5 and isinstance(cfg.max_iter, int)
 
     def test_default_gamma_formula(self):
         assert SolverConfig().resolved_gamma(3.0) == pytest.approx(2.0)

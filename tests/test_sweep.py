@@ -113,6 +113,7 @@ class TestRunSweep:
         result, out = tiny_result
         side = json.loads((out / "state_c4.json").read_text())
         assert side["converged"] is True
+        assert side["stop_reason"] == "converged"
         assert side["report"]["I"] == result.states[0].report.I
         assert side["params"]["mu"] == 1.0
 
