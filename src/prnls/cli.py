@@ -43,6 +43,13 @@ IDENTITY_REL_TOL = 1e-8   # |I - (1/2 - 1/p) ||u||_p^p| / |I|
 POSITIVITY_TOL = 1e-10    # -min u / max u
 SCATTER_TOL = 1e-6        # radial_scatter
 LATTICE_TOL = 1e-12       # per-mode extension identities and Neumann consistency
+ROUNDOFF_LEVEL = 1e-12    # figures below it are round-off and print as "<1e-12"
+
+
+def format_figure(x: float, spec: str = ".2e") -> str:
+    """x in the given format, or <1e-12 for a figure at round-off level, whose
+    digits move with summation order."""
+    return f"<{ROUNDOFF_LEVEL:g}" if abs(x) < ROUNDOFF_LEVEL else format(x, spec)
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -113,7 +120,8 @@ def cmd_sweep(args) -> int:
     bounds = check_uniform_bounds(rows, cfg.m, cfg.mu)
     print(f"  L^p ratio max/min = {bounds.lp_ratio:.6g}, sup I = {bounds.sup_energy:.9g}")
     for c, slack, rel in bounds.slacks:
-        print(f"  slack(c={c:g}) = {slack:.6e} ({rel:+.3e} relative)")
+        print(f"  slack(c={c:g}) = {format_figure(slack, '.6e')} "
+              f"({format_figure(rel, '+.3e')} relative)")
     return 0 if ok else 1
 
 
@@ -156,7 +164,7 @@ def cmd_oracle(args) -> int:
     cfg = _load_config(args.config)
     params = cfg.limit_params
     prof = ground_profile(params)
-    print(f"ground amplitude u(0) = {prof.u0:.12g}")
+    print(f"ground amplitude u(0) = {prof.u0:.12g} ({prof.shots} shots)")
     monotone = bool(np.all(np.diff(prof.values) < 0.0))
     positive = bool(np.all(prof.values > 0.0))
     tail = float(prof.values[-1] / prof.u0)

@@ -185,11 +185,24 @@ def to_spectral(f: RealField, out: np.ndarray | None = None) -> SpectralField:
     return SpectralField(f.grid, coeffs)
 
 
-def to_physical(F: SpectralField, out: np.ndarray | None = None) -> RealField:
+def to_physical(F: SpectralField, out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> RealField:
     """Inverse complex-to-real transform back to real samples; out, a real array of
-    the grid's shape, receives them in place of a new array."""
+    the grid's shape, receives them, and work, a complex array of spectral_shape
+    whose contents are overwritten, holds the partial transforms, each in place of
+    a new array.
+
+    The leading axes are inverted one at a time into work, in irfftn's own order,
+    and the last axis by irfft into out: the same steps irfftn takes, so the same
+    bits, without its complex temporary per leading axis."""
     grid = F.grid
-    values = np.fft.irfftn(F.coeffs, s=grid.shape, axes=tuple(range(grid.n)), out=out)
+    if work is None:
+        work = np.empty(grid.spectral_shape, dtype=np.complex128)
+    src = F.coeffs
+    for axis in range(grid.n - 1):
+        np.fft.ifftn(src, axes=(axis,), out=work)
+        src = work
+    values = np.fft.irfft(work, n=grid.N, axis=-1, out=out)
     values /= grid.fourier_scale
     return RealField(grid, values)
 

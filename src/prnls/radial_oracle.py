@@ -8,6 +8,15 @@ which is integrated by classic RK4 shooting.  Undershoot (the trajectory turns
 back up while still positive) and overshoot (it crosses zero) bracket the
 ground amplitude u(0); bisection pins it down.  Nothing here touches FFTs, so
 the result is an independent check on the spectral solver.
+
+The bisection result is computed from fewer RK4 steps than bisection takes.
+Near the ground amplitude u*, a shot exits (crosses or turns) at the radius
+r_end where |u0 - u*| ~ C exp(-rate * r_end), rate -> 2 sqrt(2 m mu), so the
+exit radii of a few shots locate u* far faster than halving does.  That
+search only narrows the bracket; the amplitude returned is the one plain
+bisection takes from the original bracket, replayed with every midpoint
+outside the narrowed bracket classified by monotonicity (the ground state is
+unique, so undershoot and overshoot are separated by one amplitude).
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ class RadialProfile:
     dr: float
     values: np.ndarray
     u0: float
+    shots: int  # shots the amplitude search made, the recorded shot not counted
 
     def radii(self) -> np.ndarray:
         return self.dr * np.arange(len(self.values))
@@ -129,26 +139,150 @@ def default_bracket(params: PhysParams) -> tuple[float, float]:
     return rest, 10.0 * rest
 
 
-def find_ground_u0(params: PhysParams, bracket: tuple[float, float],
-                   r_max: float = 30.0, dr: float = 1e-3, tol: float = 1e-10) -> float:
-    """Bisection on the undershoot/overshoot dichotomy; u(0) to `tol` absolute."""
+#: shots the exit-radius search may take without halving its bracket before it bisects
+STALL_SHOTS = 6
+
+
+def _bisect(classify, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Final interval of bisection on [lo, hi]: a midpoint that classify calls
+    CROSSES becomes hi, any other becomes lo."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if classify(mid) == CROSSES:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _replay(classify, lo: float, hi: float, a: float, b: float, tol: float) -> float:
+    """The amplitude plain bisection on [lo, hi] returns, given that every u0 <= a
+    decays and every u0 >= b crosses: only midpoints strictly inside (a, b) are
+    passed to classify."""
+    def known(mid: float) -> str:
+        if mid <= a:
+            return DECAYS
+        if mid >= b:
+            return CROSSES
+        return classify(mid)
+
+    lo, hi = _bisect(known, lo, hi, tol)
+    return 0.5 * (lo + hi)
+
+
+def _rate(far: tuple[float, float], near: tuple[float, float], s: float) -> float:
+    """Decay rate ln(|far - s| / |near - s|) / (r_near - r_far) between two
+    (u0, r_end) shots on one side of a root at s."""
+    d_near = abs(near[0] - s)
+    if d_near == 0.0:
+        return math.inf
+    return math.log(abs(far[0] - s) / d_near) / (near[1] - far[1])
+
+
+def _sign_change(g, a: float, b: float) -> float | None:
+    """A point of (a, b) where g changes sign, by bisection; None without a sign change."""
+    ga, gb = g(a), g(b)
+    if not (ga < 0.0 < gb or gb < 0.0 < ga):
+        return None
+    while True:
+        s = 0.5 * (a + b)
+        if not a < s < b:
+            return s
+        gs = g(s)
+        if (gs < 0.0) == (ga < 0.0):
+            a, ga = s, gs
+        else:
+            b = s
+
+
+def _estimate(pts: list, a: float, b: float, rate0: float) -> float | None:
+    """Root estimate in (a, b) from the (u0, r_end) shots on the side of the latest
+    shot, ordered toward the root: the s at which the rate between the last two
+    equals the rate between the two before (the rate fitted from three shots),
+    else equals rate0."""
+    if len(pts) >= 3:
+        x = _sign_change(lambda s: _rate(pts[-3], pts[-2], s) - _rate(pts[-2], pts[-1], s), a, b)
+        if x is not None:
+            return x
+    if len(pts) >= 2:
+        return _sign_change(lambda s: _rate(pts[-2], pts[-1], s) - rate0, a, b)
+    return None
+
+
+def _narrow(classify, lo: float, hi: float, tol: float, r_max: float,
+            rate0: float) -> tuple[float, float]:
+    """Shrink the bracket [lo, hi] to width <= tol from the shots' exit radii.
+
+    classify(u0) shoots and returns the ShotResult.  Each step shoots the root
+    estimate; once the estimate sits well inside the final interval bisection
+    would reach, it shoots that interval's ends instead, so the replay needs
+    no further shot.  Without an estimate, or after STALL_SHOTS shots that did
+    not halve the bracket, it shoots the midpoint.  Shots that ran to r_max
+    carry no radius and are not used for estimates.
+    """
+    a, b = lo, hi
+    sides = {DECAYS: [], CROSSES: []}
+    last = x_prev = None
+    widths = [b - a]
+    while b - a > tol:
+        stalled = len(widths) > STALL_SHOTS and b - a > 0.5 * widths[-1 - STALL_SHOTS]
+        x = None if last is None or stalled else _estimate(sides[last], a, b, rate0)
+        targets = [] if x is None else [x]
+        if x is not None and x_prev is not None:
+            margin = 0.25 * abs(x - x_prev)
+            end_lo, end_hi = _bisect(lambda m: CROSSES if m > x else DECAYS, lo, hi, tol)
+            if x - end_lo >= margin and end_hi - x >= margin:
+                targets = [end_lo, end_hi] if x - a > b - x else [end_hi, end_lo]
+        x_prev = x
+        for t in [t for t in targets if a < t < b] or [0.5 * (a + b)]:
+            if not a < t < b:
+                continue  # a first end shot that landed past the estimate settles the second
+            res = classify(t)
+            if res.kind == CROSSES:
+                b = t
+            else:
+                a = t
+            widths.append(b - a)
+            last, pts = res.kind, sides[res.kind]
+            if res.r_end < r_max:
+                if pts and res.r_end <= pts[-1][1]:
+                    pts.clear()  # the radius must grow toward the root
+                pts.append((t, res.r_end))
+    return a, b
+
+
+def _search_u0(params: PhysParams, bracket: tuple[float, float], r_max: float, dr: float,
+               tol: float) -> tuple[float, int]:
+    """find_ground_u0 and the number of shots it took."""
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
-    k_lo = shoot(lo, params, r_max, dr).kind
-    k_hi = shoot(hi, params, r_max, dr).kind
-    if k_lo != DECAYS or k_hi != CROSSES:
-        raise ValueError(f"invalid bracket: endpoints classify as ({k_lo}, {k_hi})")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        kind = shoot(mid, params, r_max, dr).kind
-        if kind == CROSSES:
-            hi = mid
-        elif kind == DECAYS:
-            lo = mid
-        else:
-            raise RuntimeError(f"divergent shot at u0 = {mid}")
-    return 0.5 * (lo + hi)
+    shots = 0
+
+    def classify(u0: float) -> ShotResult:
+        nonlocal shots
+        shots += 1
+        res = shoot(u0, params, r_max, dr)
+        if res.kind == DIVERGES:
+            raise RuntimeError(f"divergent shot at u0 = {u0}")
+        return res
+
+    s_lo = shoot(lo, params, r_max, dr)
+    s_hi = shoot(hi, params, r_max, dr)
+    shots += 2
+    if s_lo.kind != DECAYS or s_hi.kind != CROSSES:
+        raise ValueError(f"invalid bracket: endpoints classify as ({s_lo.kind}, {s_hi.kind})")
+    rate0 = 2.0 * math.sqrt(2.0 * params.m * params.mu)
+    a, b = _narrow(classify, lo, hi, tol, r_max, rate0)
+    u0 = _replay(lambda mid: classify(mid).kind, lo, hi, a, b, tol)
+    return u0, shots
+
+
+def find_ground_u0(params: PhysParams, bracket: tuple[float, float],
+                   r_max: float = 30.0, dr: float = 1e-3, tol: float = 1e-10) -> float:
+    """The amplitude bisection on the undershoot/overshoot dichotomy returns,
+    u(0) to `tol` absolute, found from the shots' exit radii (module docstring)."""
+    return _search_u0(params, bracket, r_max, dr, tol)[0]
 
 
 def ground_profile(params: PhysParams, r_max: float = 30.0, dr: float = 1e-3,
@@ -163,7 +297,7 @@ def ground_profile(params: PhysParams, r_max: float = 30.0, dr: float = 1e-3,
     """
     if bracket is None:
         bracket = default_bracket(params)
-    u0 = find_ground_u0(params, bracket, r_max, dr, tol)
+    u0, shots = _search_u0(params, bracket, r_max, dr, tol)
     shot = shoot(u0, params, r_max, dr, record=True)
     us = shot.values
     threshold = SPLICE_LEVEL * u0
@@ -180,7 +314,7 @@ def ground_profile(params: PhysParams, r_max: float = 30.0, dr: float = 1e-3,
     r_tail = dr * np.arange(i_s + 1, steps + 1)
     values[i_s + 1:] = u_s * (r_s / r_tail) ** (0.5 * (params.n - 1)) \
         * np.exp(-kappa * (r_tail - r_s))
-    return RadialProfile(r_max=r_max, dr=dr, values=values, u0=u0)
+    return RadialProfile(r_max=r_max, dr=dr, values=values, u0=u0, shots=shots)
 
 
 def profile_to_field(prof: RadialProfile, grid: Grid) -> RealField:

@@ -190,11 +190,11 @@ def _iterate(params: PhysParams, grid: Grid, M: Multiplier, cfg: SolverConfig,
 
     Each pass stops once the spectral residual ||(A + mu) u - u_+^{p-1}|| / ||u||
     is within half the tolerance, or after max_iter steps.  Otherwise
-    step(u, U, nl, NL, D, q) overwrites the samples u and the spectrum U with
-    the next iterate and returns None, or returns the reason to stop (that step
-    still counts).  On entry nl = u_+^{p-1}, NL is its spectrum, D = A + mu,
-    q = Q(u), and U holds scratch.  The buffers are released before the state
-    is finalized.
+    step(u, U, nl, NL, D, inv_D, q) overwrites the samples u and the spectrum U
+    with the next iterate and returns None, or returns the reason to stop (that
+    step still counts).  On entry nl = u_+^{p-1}, NL is its spectrum, D = A + mu,
+    inv_D = 1 / D, q = Q(u), and U holds scratch; the step may overwrite nl and
+    NL as well.  The buffers are released before the state is finalized.
     """
     if not M.grid.same_layout(grid):
         raise ValueError("multiplier grid does not match the solve grid")
@@ -202,7 +202,7 @@ def _iterate(params: PhysParams, grid: Grid, M: Multiplier, cfg: SolverConfig,
     if not init.grid.same_layout(grid):
         raise ValueError("init_field grid does not match the solve grid")
     D = M.table + params.mu
-    sqrt_D = np.sqrt(D)
+    sqrt_D, inv_D = np.sqrt(D), 1.0 / D
     u = nehari_project(init, M, params)[1].values  # a new array, the loop's own
     U = to_spectral(RealField(grid, u)).coeffs
     nl, NL = np.empty_like(u), np.empty_like(U)
@@ -223,11 +223,11 @@ def _iterate(params: PhysParams, grid: Grid, M: Multiplier, cfg: SolverConfig,
             break
         if it == cfg.max_iter:
             break
-        stop = step(u, U, nl, NL, D, q)
+        stop = step(u, U, nl, NL, D, inv_D, q)
         if stop is not None:
             reason, it = stop, it + 1
             break
-    del U, nl, NL, D, sqrt_D
+    del U, nl, NL, D, sqrt_D, inv_D
     return _finalize(u, grid, M, params, cfg, it, reason)
 
 
@@ -242,16 +242,16 @@ def solve_ground_state(params: PhysParams, grid: Grid, M: Multiplier,
     cfg = cfg or SolverConfig()
     gamma = cfg.resolved_gamma(params.p)
 
-    def step(u, U, nl, NL, D, q):
+    def step(u, U, nl, NL, D, inv_D, q):
         pairing = grid.cell_volume * _re_dot(nl, u)
         if pairing <= 0.0 or not math.isfinite(pairing):
             return "pairing_collapse"
         with np.errstate(over="ignore", invalid="ignore"):  # blow-up is caught below
             np.multiply(NL, (q / pairing) ** gamma, out=U)
-            np.divide(U, D, out=U)
+            U *= inv_D  # numpy divides complex by real as a product with 1 / D: same bits
         if not np.all(np.isfinite(U)):
             raise BlowUpError("iterate became non-finite")
-        to_physical(SpectralField(grid, U), out=u)
+        to_physical(SpectralField(grid, U), out=u, work=NL)  # NL is refilled next pass
         return None
 
     return _iterate(params, grid, M, cfg, step)
@@ -267,7 +267,7 @@ def projected_gradient_solve(params: PhysParams, grid: Grid, M: Multiplier,
     cfg = cfg or SolverConfig()
     tau = cfg.fallback_step
 
-    def step(v, V, nl, NL, D, q):
+    def step(v, V, nl, NL, D, inv_D, q):
         w = to_physical(SpectralField(grid, NL / D)).values
         with np.errstate(over="ignore", invalid="ignore"):  # an oversized step is caught below
             cand = v - tau * (v - w)

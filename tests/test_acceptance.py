@@ -12,14 +12,16 @@ import math
 import numpy as np
 
 import prnls as P
-from prnls.cli import IDENTITY_REL_TOL, J_REL_TOL, LATTICE_TOL, POSITIVITY_TOL, SCATTER_TOL
+from prnls.cli import (
+    IDENTITY_REL_TOL,
+    J_REL_TOL,
+    LATTICE_TOL,
+    POSITIVITY_TOL,
+    SCATTER_TOL,
+    format_figure,
+)
 from prnls.extension import lattice_mode_energies, lattice_perturbation_surplus
 from prnls.sweep import RunConfig, records_to_csv, run_sweep
-
-
-def _roundoff(x: float) -> str:
-    """A figure at round-off level, whose digits move with summation order, prints as <1e-12."""
-    return "<1e-12" if abs(x) < 1e-12 else f"{x:.2e}"
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -51,7 +53,7 @@ def test_criterion_02_nehari_energy_identity(sweep_result):
         worst_gap = max(worst_gap, rep.identity_gap / abs(rep.I))
     ok = worst_j <= J_REL_TOL and worst_gap <= IDENTITY_REL_TOL
     _verdict(2, "nehari-energy-identity", ok,
-             f"max |J|/Q={_roundoff(worst_j)}, max identity gap={_roundoff(worst_gap)}")
+             f"max |J|/Q={format_figure(worst_j)}, max identity gap={format_figure(worst_gap)}")
 
 
 def test_criterion_03_uniform_lp_bounds(sweep_result):
@@ -74,7 +76,7 @@ def test_criterion_04_h1_bound(sweep_result):
     slack32 = 2 * m * r32.lp - (r32.grad_sq + 2 * m * mu * r32.l2_sq)
     c32_ok = slack32 >= -0.05 * (2 * m * r32.lp)
     _verdict(4, "H1-bound", lim_ok and c32_ok,
-             f"limit slack rel={_roundoff(lim_slack / (2 * m * lim.lp))}, "
+             f"limit slack rel={format_figure(lim_slack / (2 * m * lim.lp))}, "
              f"c=32 slack rel={slack32 / (2 * m * r32.lp):.2e}")
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -85,6 +86,8 @@ def test_sweep_command(tiny_config, tmp_path, capsys):
     assert main(["sweep", "--config", str(tiny_config)]) == 0
     out = capsys.readouterr().out
     assert "err at the largest c is the minimum" in out
+    assert "slack(c=inf) = <1e-12 (<1e-12 relative)" in out  # round-off figures
+    assert "slack(c=4) = -6.12367" in out
     assert (tmp_path / "out" / "sweep.csv").exists()
 
 
@@ -97,7 +100,8 @@ def test_extension_check_command(tiny_config, tmp_path, capsys):
 def test_oracle_command(tiny_config, tmp_path, capsys):
     assert main(["oracle", "--config", str(tiny_config)]) == 0
     assert (tmp_path / "out" / "oracle_profile.csv").exists()
-    assert "ground amplitude" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert re.search(r"ground amplitude u\(0\) = 2\.39195640322 \(\d+ shots\)", out)
 
 
 def test_defaults_need_no_config_file(tmp_path, monkeypatch, capsys):

@@ -218,3 +218,14 @@ class TestHalfSpectrum:
         half = P.to_spectral(noise).coeffs
         np.testing.assert_allclose(half, full[..., : noise.grid.N // 2 + 1],
                                    rtol=0, atol=1e-13 * np.max(np.abs(full)))
+
+    def test_inverse_is_irfftn_to_the_bit(self, noise):
+        g = noise.grid
+        F = P.to_spectral(noise)
+        kept = F.coeffs.copy()
+        ref = np.fft.irfftn(F.coeffs, s=g.shape, axes=tuple(range(g.n))) / g.fourier_scale
+        out, work = np.empty(g.shape), np.empty(g.spectral_shape, dtype=np.complex128)
+        got = P.to_physical(F, out=out, work=work)
+        assert got.values is out
+        assert np.array_equal(got.values, ref) and np.array_equal(P.to_physical(F).values, ref)
+        assert np.array_equal(F.coeffs, kept)  # work, not the spectrum, holds the partial transforms

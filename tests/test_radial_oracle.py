@@ -2,13 +2,50 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import prnls as P
-from prnls.radial_oracle import CROSSES, DECAYS, default_bracket
+import prnls.radial_oracle as radial_oracle
+from prnls.radial_oracle import (
+    CROSSES,
+    DECAYS,
+    ShotResult,
+    _bisect,
+    _narrow,
+    _replay,
+    default_bracket,
+)
 
 #: ground amplitude for m = mu = 1, p = 3, n = 2, frozen from this oracle at
 #: the default mesh (stable to < 1e-10 under dr halving)
 U0_STAR_2D = 2.3919564032
+
+#: (m, mu, p, n) -> (u(0) plain bisection returns from default_bracket at the
+#: default mesh and tol, the RK4 steps it takes: the sum of r_end / dr over its shots)
+BISECTION_REFERENCE = {
+    (1.0, 1.0, 3.0, 2): (2.3919564032221388, 231231),
+    (2.0, 2.0, 3.0, 2): (4.783912807000888, 120935),
+    (1.0, 4.0, 3.0, 2): (9.567825614034518, 126476),
+    (1.0, 1.0, 2.5, 3): (4.27654169690868, 294582),
+    (1.0, 1.0, 2.2, 3): (4.382651320021978, 408733),
+    (1.0, 1.0, 3.9, 2): (2.221150864093943, 201378),
+}
+
+
+@pytest.fixture()
+def shot_radii(monkeypatch):
+    """Exit radii of every shot made through the module-level shoot."""
+    radii = []
+    original = radial_oracle.shoot
+
+    def counting(*args, **kwargs):
+        res = original(*args, **kwargs)
+        radii.append(res.r_end)
+        return res
+
+    monkeypatch.setattr(radial_oracle, "shoot", counting)
+    return radii
 
 
 class TestShoot:
@@ -58,6 +95,109 @@ class TestBisection:
     def test_halving_dr_is_stable(self, params_inf, oracle_profile):
         u0_half = P.find_ground_u0(params_inf, default_bracket(params_inf), dr=5e-4)
         assert abs(u0_half - oracle_profile.u0) <= 1e-8
+
+    def test_oversized_step_still_rejected(self, params_inf):
+        # at dr = 1 the 10x overshoot endpoint trips the core-curvature guard
+        with pytest.raises(ValueError, match="too large"):
+            P.find_ground_u0(params_inf, default_bracket(params_inf), dr=1.0)
+
+    def test_divergent_shot_raises(self, params_inf, monkeypatch):
+        original = radial_oracle.shoot
+
+        def diverging(u0, *args, **kwargs):
+            res = original(u0, *args, **kwargs)
+            return res if u0 in (1.0, 10.0) else ShotResult("diverges", res.r_end, None)
+
+        monkeypatch.setattr(radial_oracle, "shoot", diverging)
+        with pytest.raises(RuntimeError, match="divergent shot"):
+            P.find_ground_u0(params_inf, (1.0, 10.0))
+
+
+class TestExactness:
+    @pytest.mark.parametrize("case", list(BISECTION_REFERENCE))
+    def test_plain_bisection_value_from_fewer_steps(self, case, shot_radii):
+        u0_ref, steps_ref = BISECTION_REFERENCE[case]
+        m, mu, p, n = case
+        pp = P.PhysParams(m=m, mu=mu, c=math.inf, p=p, n=n)
+        assert P.find_ground_u0(pp, default_bracket(pp)) == u0_ref
+        assert round(sum(shot_radii) / 1e-3) <= steps_ref
+
+    def test_profile_counts_its_search_shots(self, params_inf, shot_radii):
+        prof = P.ground_profile(params_inf)
+        assert prof.shots == len(shot_radii) - 1  # the recorded shot is not counted
+        assert 2 < prof.shots < 39  # bisection takes 39 on this bracket
+
+
+def _step_shots(root: float, rate: float, c_dec: float, c_cro: float, r_max: float = 30.0,
+                dr: float = 1e-3):
+    """Synthetic shooting: u0 > root crosses, else decays, exiting on the mesh at
+    r = ln(C / |u0 - root|) / rate, the asymptotic law of real shots."""
+    def shot(u0: float) -> ShotResult:
+        kind = CROSSES if u0 > root else DECAYS
+        d = abs(u0 - root)
+        r = math.log((c_cro if kind == CROSSES else c_dec) / d) / rate if d > 0.0 else r_max
+        return ShotResult(kind, min(r_max, max(dr, dr * math.ceil(r / dr))), None)
+    return shot
+
+
+def _plain_bisection(classify, lo: float, hi: float, tol: float) -> float:
+    return 0.5 * sum(_bisect(classify, lo, hi, tol))
+
+
+LO, HI = 1.0, 10.0
+
+
+class TestReplay:
+    """Narrowing plus replay equals plain bisection, checked without shooting."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(root=st.floats(LO, HI, exclude_max=True),
+           rate=st.floats(0.5, 6.0), rate_guess=st.floats(0.5, 6.0),
+           c_dec=st.floats(1.0, 1e3), c_cro=st.floats(1.0, 1e3),
+           tol=st.sampled_from([1e-10, 1e-7, 1e-3]))
+    @example(root=5.5, rate=2.83, rate_guess=2.83, c_dec=306.0, c_cro=287.0, tol=1e-10)
+    @example(root=LO + 9.0 * 3 / 1024, rate=2.83, rate_guess=2.83, c_dec=306.0, c_cro=287.0,
+             tol=1e-10)
+    @example(root=2.4, rate=1.7, rate_guess=2.83, c_dec=1e3, c_cro=1.0, tol=1e-10)
+    @example(root=2.4, rate=0.5, rate_guess=6.0, c_dec=1.0, c_cro=1.0, tol=1e-10)  # radii hit r_max
+    def test_narrow_then_replay_is_bisection(self, root, rate, rate_guess, c_dec, c_cro, tol):
+        shot = _step_shots(root, rate, c_dec, c_cro)
+        calls = []
+
+        def classify(u0):
+            calls.append(u0)
+            return shot(u0)
+
+        a, b = _narrow(classify, LO, HI, tol, 30.0, rate_guess)
+        assert LO <= a and b <= HI and b - a <= tol
+        assert all(LO < u0 < HI for u0 in calls)
+
+        def kind(u0):
+            return shot(u0).kind
+
+        assert _replay(kind, LO, HI, a, b, tol) == _plain_bisection(kind, LO, HI, tol)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(root=st.floats(LO, HI, exclude_max=True), below=st.floats(0.0, 1.0),
+           above=st.floats(0.0, 1.0), tol=st.sampled_from([1e-10, 1e-3]))
+    @example(root=5.5, below=0.0, above=0.0, tol=1e-10)  # dyadic root, bracket of width 0
+    @example(root=5.5, below=1e-9, above=1e-9, tol=1e-10)
+    @example(root=LO, below=0.0, above=0.5, tol=1e-10)
+    def test_replay_shoots_only_inside_the_bracket(self, root, below, above, tol):
+        # any bracket a <= root <= b (b > root unless the width is 0) whose ends the
+        # step classifier agrees with; the replay may classify only points of (a, b)
+        a = root - below * (root - LO)
+        b = root + above * (HI - root)
+        assume(b > root or a == b)
+
+        def step(u0):
+            return CROSSES if u0 > root else DECAYS
+
+        def classify(u0):
+            assert a < u0 < b
+            return step(u0)
+
+        assert _replay(classify, LO, HI, a, b, tol) == _plain_bisection(step, LO, HI, tol)
 
 
 class TestProfile:

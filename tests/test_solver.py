@@ -145,8 +145,9 @@ class TestMemory:
     @pytest.mark.parametrize("n, N", [(2, 256), (3, 64)])
     def test_peak_is_flat_in_iterations_and_bounded(self, n, N):
         # tracemalloc peak of one solve in real-field-sized arrays (8 N^n bytes).
-        # Measured: 7.0 (2D) and 8.2 (3D); 11.6 before the loop ran on work
-        # buffers, and 11.1 when the buffers stay alive through _finalize.
+        # Measured: 7.2 (2D) and 7.2 (3D); 7.0 and 8.2 while the inverse transform
+        # allocated a complex temporary per leading axis, 11.6 before the loop ran
+        # on work buffers, and 11.1 when the buffers stay alive through _finalize.
         pp = P.PhysParams(m=1.0, mu=1.0, c=math.inf, p=3.0 if n == 2 else 2.5, n=n)
         g = P.make_grid(n, 32.0, N)
         M = P.limit_multiplier(g, pp)
