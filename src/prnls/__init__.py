@@ -9,12 +9,10 @@ from .model import (
     SpectralField,
     gaussian_field,
     grad_norm_sq,
-    inner_l2,
     make_grid,
     norm_h1,
     norm_hhalf,
     norm_l2,
-    norm_lp,
     to_physical,
     to_spectral,
     weighted_power,
@@ -34,7 +32,6 @@ from .solver import (
     GroundState,
     SolverConfig,
     h1_distance,
-    projected_gradient_solve,
     radial_scatter,
     recenter,
     solve_ground_state,
@@ -64,8 +61,6 @@ from .variational import (
     energy,
     nehari_project,
     quadratic_form,
-    rayleigh_quotient,
-    residual,
 )
 
 __version__ = "0.1.0"

@@ -64,14 +64,13 @@ class Grid:
     """Uniform periodic grid on [0, L)^n with N points (a power of two) per axis.
 
     xi_sq holds |xi|^2 on the half spectrum of real-to-complex transforms
-    (spectral_shape); freqs are the full angular frequencies of one axis.
+    (spectral_shape).
     """
 
     n: int
     L: float
     N: int
     h: float = field(init=False, repr=False)
-    freqs: np.ndarray = field(init=False, repr=False)
     xi_sq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -83,7 +82,6 @@ class Grid:
             raise ValueError("N must be a power of two >= 16")
         object.__setattr__(self, "h", self.L / self.N)
         freqs = TWO_PI * np.fft.fftfreq(self.N, d=self.h)
-        object.__setattr__(self, "freqs", freqs)
         half = TWO_PI * np.fft.rfftfreq(self.N, d=self.h)
         mesh = np.meshgrid(*([freqs] * (self.n - 1)), half, indexing="ij")
         object.__setattr__(self, "xi_sq", sum(a * a for a in mesh))
@@ -211,16 +209,6 @@ def norm_l2(f: RealField) -> float:
     return float(np.sqrt(f.grid.cell_volume * np.sum(f.values * f.values)))
 
 
-def norm_lp(f: RealField, p: float) -> float:
-    return float((f.grid.cell_volume * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
-
-
-def inner_l2(f: RealField, g: RealField) -> float:
-    if not f.grid.same_layout(g.grid):
-        raise ValueError("grid mismatch")
-    return float(f.grid.cell_volume * np.sum(f.values * g.values))
-
-
 def _re_dot(a: np.ndarray, b: np.ndarray) -> np.float64:
     """Re sum(conj(a) * b) for real or complex arrays, in one pass over their float64 views.
 
@@ -277,11 +265,11 @@ def _derivative_freqs(grid: Grid, axis: int) -> np.ndarray:
     return kd.reshape(shape)
 
 
-def gaussian_field(grid: Grid, width: float = 1.0, amplitude: float = 1.0) -> RealField:
-    """Centered Gaussian amplitude * exp(-r^2 / (2 width^2))."""
+def gaussian_field(grid: Grid, width: float = 1.0) -> RealField:
+    """Centered Gaussian exp(-r^2 / (2 width^2))."""
     if width <= 0:
         raise ValueError("width must be positive")
-    return RealField(grid, amplitude * np.exp(-grid.radius_sq() / (2.0 * width * width)))
+    return RealField(grid, np.exp(-grid.radius_sq() / (2.0 * width * width)))
 
 
 def boundary_max_ratio(f: RealField) -> float:

@@ -328,7 +328,6 @@ def compare_profiles(gs, prof: RadialProfile) -> float:
     """Sup-norm mismatch between a grid state and the radial profile, relative
     to the profile maximum.  Each lattice point is its own radius bin."""
     field = gs.field if hasattr(gs, "field") else gs
-    r = np.sqrt(field.grid.radius_sq())
-    interp = np.interp(r.ravel(), prof.radii(), prof.values, right=0.0)
+    lifted = profile_to_field(prof, field.grid)
     peak = float(np.max(prof.values))
-    return float(np.max(np.abs(field.values.ravel() - interp))) / peak
+    return float(np.max(np.abs(field.values - lifted.values))) / peak

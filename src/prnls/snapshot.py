@@ -16,21 +16,18 @@ import numpy as np
 from .model import PhysParams, RealField, make_grid
 
 
-def _header(f: RealField, params: PhysParams | None, extra: dict | None) -> dict:
+def _header(f: RealField, params: PhysParams | None) -> dict:
     head: dict = {"n": f.grid.n, "L": f.grid.L, "N": f.grid.N}
     head["params"] = dataclasses.asdict(params) if params is not None else None
-    if extra:
-        head.update(extra)
     return head
 
 
-def save_field(path: str | Path, f: RealField, params: PhysParams | None = None,
-               extra: dict | None = None) -> Path:
+def save_field(path: str | Path, f: RealField, params: PhysParams | None = None) -> Path:
     """Write atomically: header line + row-major '<f8' payload."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        fh.write(json.dumps(_header(f, params, extra), sort_keys=True).encode("ascii"))
+        fh.write(json.dumps(_header(f, params), sort_keys=True).encode("ascii"))
         fh.write(b"\n")
         fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
     os.replace(tmp, path)

@@ -6,8 +6,7 @@ The workhorse is the Petviashvili fixed-point iteration
     M_k = <(A + mu) u_k, u_k> / <(u_k)_+^{p-1}, u_k>,
 
 with the stabilizing exponent gamma = (p-1)/(p-2).  (A + mu)^{-1} is exact in
-spectral space.  A preconditioned, Nehari-projected gradient descent is kept
-as an independent fallback; the two must agree on the default configuration.
+spectral space.  solve_ground_state is the package's only solve loop.
 
 Converged states are gauge-fixed: translated (including a sub-grid Fourier
 shift) so the maximum sits at the box center, then rescaled onto the Nehari
@@ -37,7 +36,7 @@ from .model import (
     weighted_power,
 )
 from .symbol import Multiplier
-from .variational import EnergyReport, clamped_power, energy, lp_integral, nehari_project
+from .variational import EnergyReport, clamped_power, energy, nehari_project
 
 BLOWUP_NORM = 1e12
 
@@ -55,7 +54,7 @@ class SolverConfig:
     gamma: float | None = None          # None -> (p-1)/(p-2)
     init_width: float = 2.0
     init_field: RealField | None = None
-    fallback_step: float = 0.5
+    fallback_step: float = 0.5          # step of the projected-gradient reference in tests/
 
     def __post_init__(self):
         if not (self.tol_residual > 0.0 and math.isfinite(self.tol_residual)):
@@ -79,11 +78,10 @@ class GroundState:
     """A converged (or best-effort) state plus its scalar diagnostics.
 
     stop_reason says why the iteration stopped: "converged" (the loop's residual
-    test passed), "max_iter", "pairing_collapse" (the Petviashvili pairing
-    <u_+^{p-1}, u> is not positive) or "nonfinite_candidate" (a projected-gradient
-    candidate without a finite Nehari rescaling); None for a state not computed
-    by a solver.  converged is the separate check of the final,
-    gauge-fixed state against the tolerance.
+    test passed), "max_iter" or "pairing_collapse" (the Petviashvili pairing
+    <u_+^{p-1}, u> is not positive); None for a state not computed by the solver.
+    converged is the separate check of the final, gauge-fixed state against the
+    tolerance.
     """
 
     field: RealField
@@ -184,18 +182,21 @@ def _finalize(values: np.ndarray, grid: Grid, M: Multiplier, params: PhysParams,
                        converged=converged, params=params, stop_reason=stop_reason)
 
 
-def _iterate(params: PhysParams, grid: Grid, M: Multiplier, cfg: SolverConfig,
-             step) -> GroundState:
-    """The loop both solvers share, on work buffers allocated once per solve.
+def solve_ground_state(params: PhysParams, grid: Grid, M: Multiplier,
+                       cfg: SolverConfig | None = None) -> GroundState:
+    """Petviashvili iteration to the relative-residual target, on work buffers
+    allocated once per solve.
 
     Each pass stops once the spectral residual ||(A + mu) u - u_+^{p-1}|| / ||u||
-    is within half the tolerance, or after max_iter steps.  Otherwise
-    step(u, U, nl, NL, D, inv_D, q) overwrites the samples u and the spectrum U
-    with the next iterate and returns None, or returns the reason to stop (that
-    step still counts).  On entry nl = u_+^{p-1}, NL is its spectrum, D = A + mu,
-    inv_D = 1 / D, q = Q(u), and U holds scratch; the step may overwrite nl and
-    NL as well.  The buffers are released before the state is finalized.
+    is within half the tolerance, or after max_iter steps, or when the pairing
+    <u_+^{p-1}, u> is not positive (that failed step still counts).  The buffers
+    are released before the state is finalized.  Deterministic for a fixed
+    configuration.  Raises BlowUpError when the iterate's norm passes 1e12 or it
+    becomes non-finite; plain non-convergence is returned as converged=False
+    with the last iterate and its stop_reason.
     """
+    cfg = cfg or SolverConfig()
+    gamma = cfg.resolved_gamma(params.p)
     if not M.grid.same_layout(grid):
         raise ValueError("multiplier grid does not match the solve grid")
     init = cfg.init_field if cfg.init_field is not None else gaussian_field(grid, cfg.init_width)
@@ -223,65 +224,15 @@ def _iterate(params: PhysParams, grid: Grid, M: Multiplier, cfg: SolverConfig,
             break
         if it == cfg.max_iter:
             break
-        stop = step(u, U, nl, NL, D, inv_D, q)
-        if stop is not None:
-            reason, it = stop, it + 1
-            break
-    del U, nl, NL, D, sqrt_D, inv_D
-    return _finalize(u, grid, M, params, cfg, it, reason)
-
-
-def solve_ground_state(params: PhysParams, grid: Grid, M: Multiplier,
-                       cfg: SolverConfig | None = None) -> GroundState:
-    """Petviashvili iteration to the relative-residual target.
-
-    Deterministic for a fixed configuration.  Raises BlowUpError when the
-    iterate's norm passes 1e12 or it becomes non-finite; plain non-convergence
-    is returned as converged=False with the last iterate and its stop_reason.
-    """
-    cfg = cfg or SolverConfig()
-    gamma = cfg.resolved_gamma(params.p)
-
-    def step(u, U, nl, NL, D, inv_D, q):
         pairing = grid.cell_volume * _re_dot(nl, u)
         if pairing <= 0.0 or not math.isfinite(pairing):
-            return "pairing_collapse"
+            reason, it = "pairing_collapse", it + 1
+            break
         with np.errstate(over="ignore", invalid="ignore"):  # blow-up is caught below
             np.multiply(NL, (q / pairing) ** gamma, out=U)
             U *= inv_D  # numpy divides complex by real as a product with 1 / D: same bits
         if not np.all(np.isfinite(U)):
             raise BlowUpError("iterate became non-finite")
         to_physical(SpectralField(grid, U), out=u, work=NL)  # NL is refilled next pass
-        return None
-
-    return _iterate(params, grid, M, cfg, step)
-
-
-def projected_gradient_solve(params: PhysParams, grid: Grid, M: Multiplier,
-                             cfg: SolverConfig | None = None) -> GroundState:
-    """Fallback: preconditioned descent on the energy, renormalized onto the
-    Nehari manifold after every step.
-
-    v <- project(v - tau * (v - (A + mu)^{-1} v_+^{p-1}))
-    """
-    cfg = cfg or SolverConfig()
-    tau = cfg.fallback_step
-
-    def step(v, V, nl, NL, D, inv_D, q):
-        w = to_physical(SpectralField(grid, NL / D)).values
-        with np.errstate(over="ignore", invalid="ignore"):  # an oversized step is caught below
-            cand = v - tau * (v - w)
-            if not np.all(np.isfinite(cand)):
-                return "nonfinite_candidate"
-            cand_field = RealField(grid, cand)
-            C = to_spectral(cand_field)
-            qc = weighted_power(C, D)
-            lp = lp_integral(cand_field, params.p)
-        if not (lp > 0.0 and math.isfinite(qc) and math.isfinite(lp)):
-            return "nonfinite_candidate"  # no finite Nehari rescaling
-        t_star = (qc / lp) ** (1.0 / (params.p - 2.0))
-        np.multiply(cand, t_star, out=v)
-        np.multiply(C.coeffs, t_star, out=V)
-        return None
-
-    return _iterate(params, grid, M, cfg, step)
+    del U, nl, NL, D, sqrt_D, inv_D
+    return _finalize(u, grid, M, params, cfg, it, reason)

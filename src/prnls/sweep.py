@@ -232,12 +232,8 @@ def save_state(out_dir: str | Path, gs: GroundState, c: float) -> tuple[Path, Pa
 class BoundsReport:
     """Observed counterparts of the uniform estimates across the sweep."""
 
-    lp_min: float
-    lp_max: float
     lp_ratio: float
     sup_energy: float
-    hhalf_max: float
-    hhalf_limit: float | None
     #: per row: (c, 2m*lp - (grad_sq + 2*m*mu*l2_sq), same over 2m*lp)
     slacks: tuple[tuple[float, float, float], ...]
 
@@ -254,21 +250,14 @@ def check_uniform_bounds(records, m: float, mu: float) -> BoundsReport:
     if len(finite) < 2:
         raise ValueError("need at least two converged finite-c records")
     lp_vals = [r.lp for r in finite]
-    slacks = tuple(
-        (r.c,
-         2.0 * m * r.lp - (r.grad_sq + 2.0 * m * mu * r.l2_sq),
-         (2.0 * m * r.lp - (r.grad_sq + 2.0 * m * mu * r.l2_sq)) / (2.0 * m * r.lp))
-        for r in rows
-    )
-    limit_rows = [r for r in rows if math.isinf(r.c)]
+    slacks = []
+    for r in rows:
+        slack = 2.0 * m * r.lp - (r.grad_sq + 2.0 * m * mu * r.l2_sq)
+        slacks.append((r.c, slack, slack / (2.0 * m * r.lp)))
     return BoundsReport(
-        lp_min=min(lp_vals),
-        lp_max=max(lp_vals),
         lp_ratio=max(lp_vals) / min(lp_vals),
         sup_energy=max(r.I for r in rows),
-        hhalf_max=max(r.hhalf for r in finite),
-        hhalf_limit=limit_rows[0].hhalf if limit_rows else None,
-        slacks=slacks,
+        slacks=tuple(slacks),
     )
 
 
@@ -307,17 +296,16 @@ def _write_atomic(path: Path, text: str) -> Path:
     return path
 
 
-def emit(records, out_dir: str | Path, formats=("csv", "json"),
-         basename: str = "sweep") -> list[Path]:
+def emit(records, out_dir: str | Path, formats=("csv", "json")) -> list[Path]:
     """Write the table in the requested formats; returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for fmt in formats:
         if fmt == "csv":
-            written.append(_write_atomic(out / f"{basename}.csv", records_to_csv(records)))
+            written.append(_write_atomic(out / "sweep.csv", records_to_csv(records)))
         elif fmt == "json":
-            written.append(_write_atomic(out / f"{basename}.json", records_to_json(records)))
+            written.append(_write_atomic(out / "sweep.json", records_to_json(records)))
         else:
             raise ValueError(f"unknown format {fmt!r}")
     return written

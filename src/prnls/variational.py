@@ -1,4 +1,4 @@
-"""Energy, Nehari functional, Nehari projection, equation residual, Rayleigh quotient.
+"""Energy, Nehari functional, Nehari projection and equation residual.
 
 All quantities refer to the standing-wave equation
 
@@ -76,13 +76,6 @@ def quadratic_form(u: RealField | SpectralField, M: Multiplier, params: PhysPara
     return weighted_power(u, M.table + params.mu)
 
 
-def residual(u: RealField, M: Multiplier, params: PhysParams) -> float:
-    """Relative L2 residual ||A u + mu u - |u|^{p-2} u|| / ||u||."""
-    if norm_l2(u) == 0.0:
-        raise ValueError("residual is undefined for the zero field")
-    return energy(u, M, params).residual
-
-
 def energy(u: RealField, M: Multiplier, params: PhysParams) -> EnergyReport:
     """Full scalar report; for the zero field the residual entry is set to 0."""
     F = to_spectral(u)
@@ -108,17 +101,3 @@ def nehari_project(u: RealField, M: Multiplier, params: PhysParams) -> tuple[flo
     lp = lp_integral(u, params.p)
     t_star = float((Q / lp) ** (1.0 / (params.p - 2.0)))
     return t_star, RealField(u.grid, t_star * u.values)
-
-
-def rayleigh_quotient(u: RealField, M: Multiplier, params: PhysParams) -> float:
-    """Scale-invariant ratio Q^{p/(p-2)} / (||u||_p^p)^{2/(p-2)}.
-
-    Its minimum over nonzero fields is the Nehari level times (1/2 - 1/p)^{-1},
-    attained at the ground state.
-    """
-    if norm_l2(u) == 0.0:
-        raise ValueError("Rayleigh quotient is undefined for the zero field")
-    Q = quadratic_form(u, M, params)
-    lp = lp_integral(u, params.p)
-    e = 1.0 / (params.p - 2.0)
-    return float(Q ** (params.p * e) / lp ** (2.0 * e))

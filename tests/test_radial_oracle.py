@@ -70,6 +70,11 @@ class TestShoot:
         with pytest.raises(ValueError, match="too large"):
             P.shoot(2.39, params_inf, r_max=10.0, dr=1.0)
 
+    def test_energy_drift_rejected(self, params_inf):
+        # |a| dr^2 = 0.024 passes the core-curvature guard; the monitor trips at the second step
+        with pytest.raises(ValueError, match=r"energy drift at r = 4\.400$"):
+            P.shoot(1.01, params_inf, dr=2.2)
+
     def test_recorded_samples_start_at_u0(self, params_inf):
         res = P.shoot(0.5, params_inf, record=True)
         assert res.values[0] == 0.5

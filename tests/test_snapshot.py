@@ -11,11 +11,10 @@ from prnls.snapshot import params_from_header
 def test_roundtrip_bitexact(tmp_path, grid, params_inf):
     rng = np.random.default_rng(11)
     f = P.RealField(grid, rng.standard_normal(grid.shape))
-    path = P.save_field(tmp_path / "f.f64", f, params_inf, extra={"note": "test"})
+    path = P.save_field(tmp_path / "f.f64", f, params_inf)
     back, head = P.load_field(path)
     assert np.array_equal(back.values, f.values)
     assert head["n"] == 2 and head["N"] == 256 and head["L"] == 32.0
-    assert head["note"] == "test"
     restored = params_from_header(head)
     assert restored == params_inf
 

@@ -7,8 +7,39 @@ import pytest
 
 import prnls as P
 from conftest import interpolate_to
+from prnls.model import warn_if_poorly_truncated
 from prnls.solver import SolverConfig
-from prnls.variational import residual
+from prnls.variational import clamped_power
+
+
+def projected_gradient_solve(params, grid, M, cfg=None):
+    """Reference solver, independent of the package's solve loop: preconditioned
+    descent on the energy, renormalized onto the Nehari manifold after every step,
+
+        v <- project(v - tau * (v - (A + mu)^{-1} v_+^{p-1})),    tau = cfg.fallback_step,
+
+    until the equation residual is within half the tolerance.  Plain and allocating,
+    built on the public transforms, projection and energy; no gauge fixing (the
+    default start is centered and radial, so the iterates stay so).
+    """
+    cfg = cfg or SolverConfig()
+    D = M.table + params.mu
+    init = cfg.init_field if cfg.init_field is not None else P.gaussian_field(grid, cfg.init_width)
+    v = P.nehari_project(init, M, params)[1]
+    for it in range(cfg.max_iter + 1):
+        report = P.energy(v, M, params)
+        if report.residual <= 0.5 * cfg.tol_residual or it == cfg.max_iter:
+            break
+        nl = P.to_spectral(P.RealField(grid, clamped_power(v.values, params.p)))
+        w = P.to_physical(P.SpectralField(grid, nl.coeffs / D)).values
+        step = P.RealField(grid, v.values - cfg.fallback_step * (v.values - w))
+        v = P.nehari_project(step, M, params)[1]
+    reason = "converged" if report.residual <= 0.5 * cfg.tol_residual else "max_iter"
+    converged = report.residual <= cfg.tol_residual
+    if converged:
+        warn_if_poorly_truncated(v)  # the box check every converged package state gets
+    return P.GroundState(field=v, report=report, iterations=it, converged=converged,
+                         params=params, stop_reason=reason)
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +50,7 @@ def deep_state(grid, params_inf, limit_mult):
 
 @pytest.fixture(scope="module")
 def pg_state(grid, params_inf, limit_mult):
-    return P.projected_gradient_solve(params_inf, grid, limit_mult)
+    return projected_gradient_solve(params_inf, grid, limit_mult)
 
 
 class TestSolve:
@@ -84,7 +115,7 @@ class TestSolve:
         fine_grid = P.make_grid(2, 32.0, 512)
         M = P.limit_multiplier(fine_grid, params_inf)
         lifted = interpolate_to(limit_state.field, 512)
-        fine_res = residual(lifted, M, params_inf)
+        fine_res = P.energy(lifted, M, params_inf).residual
         assert fine_res <= 10.0 * limit_state.report.residual
 
     def test_blowup_raises(self, grid, params_inf, limit_mult):
@@ -175,20 +206,15 @@ class TestProjectedGradient:
 
     def test_oversized_step_reports_nonconvergence(self, grid, params_inf, limit_mult):
         cfg = SolverConfig(fallback_step=10.0, max_iter=60)
-        gs = P.projected_gradient_solve(params_inf, grid, limit_mult, cfg)
+        gs = projected_gradient_solve(params_inf, grid, limit_mult, cfg)
         assert not gs.converged
         assert gs.stop_reason == "max_iter"
-
-    def test_overflowing_step_reports_nonfinite_candidate(self, grid, params_inf, limit_mult):
-        cfg = SolverConfig(fallback_step=1e308)
-        gs = P.projected_gradient_solve(params_inf, grid, limit_mult, cfg)
-        assert (gs.stop_reason, gs.iterations, gs.converged) == ("nonfinite_candidate", 1, False)
 
     def test_matches_oracle(self, pg_state, oracle_profile):
         assert P.compare_profiles(pg_state, oracle_profile) <= 1e-3
 
     def test_nonconvergence_reported_not_raised(self, grid, params_inf, limit_mult):
-        gs = P.projected_gradient_solve(params_inf, grid, limit_mult, SolverConfig(max_iter=3))
+        gs = projected_gradient_solve(params_inf, grid, limit_mult, SolverConfig(max_iter=3))
         assert not gs.converged
         assert gs.iterations == 3
         assert gs.stop_reason == "max_iter"
@@ -238,7 +264,7 @@ class TestRecenter:
         f = P.RealField(g, np.exp(-r2 / 4.0))
         w = f.values**2
         deltas = [g.center_coordinate - float(np.sum(w * a)) / float(np.sum(w)) for a in coords]
-        kd = g.freqs.copy()
+        kd = 2.0 * np.pi * np.fft.fftfreq(g.N, d=g.h)
         kd[g.N // 2] = 0.0
         phase = 1.0
         for axis, d in enumerate(deltas):

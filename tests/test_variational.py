@@ -96,51 +96,54 @@ class TestNehariProjection:
 class TestResidual:
     def test_generic_field_not_a_solution(self, grid, limit_mult, params_inf):
         f = P.gaussian_field(grid, 2.0)
-        assert P.residual(f, limit_mult, params_inf) > 1e-3
-
-    def test_zero_field_rejected(self, grid, limit_mult, params_inf):
-        with pytest.raises(ValueError):
-            P.residual(P.RealField(grid, np.zeros(grid.shape)), limit_mult, params_inf)
+        assert P.energy(f, limit_mult, params_inf).residual > 1e-3
 
     def test_converged_state_below_tolerance(self, limit_state):
         assert limit_state.report.residual <= 1e-9
 
 
+def nehari_level(f, M, params):
+    """I(t* f) on the Nehari manifold; the Rayleigh quotient of f times (1/2 - 1/p)."""
+    return P.energy(P.nehari_project(f, M, params)[1], M, params).I
+
+
 class TestRayleighQuotient:
+    """The scale-invariant Rayleigh quotient Q^{p/(p-2)} / (||u||_p^p)^{2/(p-2)} equals
+    the Nehari level I(t* u) / (1/2 - 1/p), so each check is made on the level."""
+
     def test_scale_invariance(self, grid, limit_mult, params_inf):
         f = random_bump(grid, 12)
-        a = P.rayleigh_quotient(f, limit_mult, params_inf)
-        b = P.rayleigh_quotient(P.RealField(grid, 2.0 * f.values), limit_mult, params_inf)
+        a = nehari_level(f, limit_mult, params_inf)
+        b = nehari_level(P.RealField(grid, 2.0 * f.values), limit_mult, params_inf)
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_equals_scaled_energy_at_ground_state(self, limit_state, limit_mult, params_inf):
-        rq = P.rayleigh_quotient(limit_state.field, limit_mult, params_inf)
-        level = limit_state.report.I / (0.5 - 1.0 / params_inf.p)
-        assert rq == pytest.approx(level, rel=1e-8)
+        level = nehari_level(limit_state.field, limit_mult, params_inf)
+        assert level == pytest.approx(limit_state.report.I, rel=1e-8)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_ground_state_minimizes(self, grid, limit_mult, params_inf, limit_state, seed):
-        rq_gs = P.rayleigh_quotient(limit_state.field, limit_mult, params_inf)
+        i_gs = limit_state.report.I
         cand = random_bump(grid, 600 + seed)
-        assert P.rayleigh_quotient(cand, limit_mult, params_inf) >= rq_gs - 1e-10 * rq_gs
+        assert nehari_level(cand, limit_mult, params_inf) >= i_gs - 1e-10 * i_gs
 
     def test_perturbations_of_ground_state_not_lower(self, grid, limit_mult, params_inf,
                                                      limit_state):
-        rq_gs = P.rayleigh_quotient(limit_state.field, limit_mult, params_inf)
+        i_gs = limit_state.report.I
         rng = np.random.default_rng(77)
         for _ in range(3):
             noise = rng.standard_normal(grid.shape) * P.gaussian_field(grid, 4.0).values
             cand = P.RealField(grid, limit_state.field.values * (1.0 + 0.02 * noise))
-            assert P.rayleigh_quotient(cand, limit_mult, params_inf) >= rq_gs - 1e-10 * rq_gs
+            assert nehari_level(cand, limit_mult, params_inf) >= i_gs - 1e-10 * i_gs
 
     def test_ordered_in_c_for_fixed_field(self, grid, make_params):
         f = random_bump(grid, 13)
         vals = []
         for c in (1.0, 4.0, 32.0):
             pp = make_params(c=c)
-            vals.append(P.rayleigh_quotient(f, P.relativistic_multiplier(grid, pp), pp))
+            vals.append(nehari_level(f, P.relativistic_multiplier(grid, pp), pp))
         assert vals[0] <= vals[1] <= vals[2]
 
     def test_zero_field_rejected(self, grid, limit_mult, params_inf):
         with pytest.raises(ValueError):
-            P.rayleigh_quotient(P.RealField(grid, np.zeros(grid.shape)), limit_mult, params_inf)
+            nehari_level(P.RealField(grid, np.zeros(grid.shape)), limit_mult, params_inf)
