@@ -31,11 +31,10 @@ from .solver import (
     BlowUpError,
     GroundState,
     SolverConfig,
+    center,
     h1_distance,
     radial_scatter,
-    recenter,
     solve_ground_state,
-    subgrid_recenter,
 )
 from .sweep import (
     RunConfig,

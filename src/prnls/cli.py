@@ -43,6 +43,7 @@ IDENTITY_REL_TOL = 1e-8   # |I - (1/2 - 1/p) ||u||_p^p| / |I|
 POSITIVITY_TOL = 1e-10    # -min u / max u
 SCATTER_TOL = 1e-6        # radial_scatter
 LATTICE_TOL = 1e-12       # per-mode extension identities and Neumann consistency
+DECAY_TOL = 1e-8          # oracle tail u(r_max) / u(0)
 ROUNDOFF_LEVEL = 1e-12    # figures below it are round-off and print as "<1e-12"
 
 
@@ -117,7 +118,11 @@ def cmd_sweep(args) -> int:
     print(f"  [{'ok' if final_is_min else 'FAIL'}] err at the largest c is the minimum")
     ok &= final_is_min
 
-    bounds = check_uniform_bounds(rows, cfg.m, cfg.mu)
+    try:
+        bounds = check_uniform_bounds(rows, cfg.m, cfg.mu)
+    except ValueError as exc:  # too few converged rows: a failed check, not a bad config
+        print(f"  [FAIL] uniform bounds: {exc}")
+        return 1
     print(f"  L^p ratio max/min = {bounds.lp_ratio:.6g}, sup I = {bounds.sup_energy:.9g}")
     for c, slack, rel in bounds.slacks:
         print(f"  slack(c={c:g}) = {format_figure(slack, '.6e')} "
@@ -175,7 +180,7 @@ def cmd_oracle(args) -> int:
     lines = ["r,u"] + [f"{r[i]!r},{prof.values[i]!r}" for i in range(len(r))]
     path = _write_atomic(out / "oracle_profile.csv", "\n".join(lines) + "\n")
     print(f"wrote {path}")
-    ok = monotone and positive and tail <= 1e-8
+    ok = monotone and positive and tail <= DECAY_TOL
     print(f"  [{'ok' if ok else 'FAIL'}] profile positive, decreasing, decayed")
     return 0 if ok else 1
 

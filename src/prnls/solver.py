@@ -8,15 +8,13 @@ The workhorse is the Petviashvili fixed-point iteration
 with the stabilizing exponent gamma = (p-1)/(p-2).  (A + mu)^{-1} is exact in
 spectral space.  solve_ground_state is the package's only solve loop.
 
-Converged states are gauge-fixed: translated (including a sub-grid Fourier
-shift) so the maximum sits at the box center, then rescaled onto the Nehari
-manifold.
+Converged states are gauge-fixed: one Fourier shift puts the periodic centroid
+of u_+^2 at the box center, then they are rescaled onto the Nehari manifold.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +24,7 @@ from .model import (
     PhysParams,
     RealField,
     SpectralField,
+    TWO_PI,
     _derivative_freqs,
     _re_dot,
     gaussian_field,
@@ -92,43 +91,20 @@ class GroundState:
     stop_reason: str | None = None
 
 
-def recenter(f: RealField) -> RealField:
-    """Cyclic shift placing the (first, in row-major order) maximum at the box center.
+def center(f: RealField) -> RealField:
+    """Fourier-shift the field so the periodic centroid of (u_+)^2 lands at the box center.
 
-    Degenerate plateaus are reported through a warning and resolved by the
-    lexicographically smallest maximizer.
-    """
-    v = f.values
-    peak = float(np.max(v))
-    span = peak - float(np.min(v))
-    if np.count_nonzero(v >= peak - 1e-12 * span) > 1:
-        warnings.warn("degenerate maximum plateau; recentering on the first maximizer",
-                      stacklevel=2)
-    idx = np.unravel_index(int(np.argmax(v)), v.shape)
-    shifts = tuple(f.grid.center_index - i for i in idx)
-    if all(s == 0 for s in shifts):
-        return f
-    return RealField(f.grid, np.roll(v, shifts, axis=tuple(range(f.grid.n))))
-
-
-def subgrid_recenter(f: RealField) -> RealField:
-    """Fourier-shift the field so the centroid of (u_+)^2 lands exactly at the center.
-
-    Integer recentering leaves a sub-cell offset whenever the true maximum
-    falls between lattice points; the phase shift removes it with spectral
-    accuracy (the Nyquist row is left unshifted).
+    Each axis's centroid is the circular mean of the marginal of (u_+)^2, so a
+    state straddling the periodic seam needs no integer roll first; one phase
+    multiply moves it with spectral accuracy (the Nyquist row is left unshifted).
     """
     w = np.maximum(f.values, 0.0) ** 2
-    total = float(np.sum(w))
-    if total == 0.0:
-        return f
-    x = f.grid.axis_coordinates()
-    center = f.grid.center_coordinate
-    deltas = []
+    k = TWO_PI / f.grid.L
+    wave = np.exp(1j * k * (f.grid.axis_coordinates() - f.grid.center_coordinate))
+    deltas = []  # center minus centroid, in [-L/2, L/2)
     for axis in range(f.grid.n):
-        shape = [1] * f.grid.n
-        shape[axis] = f.grid.N
-        deltas.append(center - float(np.sum(w * x.reshape(shape))) / total)
+        marginal = np.sum(w, axis=tuple(a for a in range(f.grid.n) if a != axis))
+        deltas.append(-float(np.angle(marginal @ wave)) / k)
     if max(abs(d) for d in deltas) < 1e-14:
         return f
     phase = np.ones(f.grid.spectral_shape, dtype=np.complex128)
@@ -167,9 +143,7 @@ def h1_distance(f: RealField, g: RealField) -> float:
 
 def _finalize(values: np.ndarray, grid: Grid, M: Multiplier, params: PhysParams,
               cfg: SolverConfig, iterations: int, stop_reason: str) -> GroundState:
-    f = recenter(RealField(grid, values))
-    f = subgrid_recenter(f)
-    f = recenter(f)
+    f = center(RealField(grid, values))
     try:
         _, f = nehari_project(f, M, params)
     except ValueError:

@@ -174,7 +174,7 @@ def make_record(c: float, gs: GroundState, reference: RealField) -> SweepRecord:
         residual=float(gs.report.residual),
         iterations=int(gs.iterations),
         radial_scatter=float(radial_scatter(gs.field)),
-        min_over_max=float(np.min(v) / peak) if peak > 0.0 else 0.0,
+        min_over_max=float(np.min(v) / peak) if peak > 0.0 else -math.inf,
         converged=bool(gs.converged),
     )
 

@@ -91,6 +91,19 @@ def test_sweep_command(tiny_config, tmp_path, capsys):
     assert (tmp_path / "out" / "sweep.csv").exists()
 
 
+def test_sweep_with_too_few_converged_rows_fails_its_check(tmp_path, capsys):
+    # a valid configuration whose solves stop early: a failed check (exit 1),
+    # not a rejected configuration (exit 2)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"solver": {"max_iter": 3}, "c_schedule": [1, 2],
+                                "grid": {"N": 64}}))
+    assert main(["sweep", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert ("[FAIL] uniform bounds: need at least two converged finite-c records"
+            in captured.out)
+    assert "error:" not in captured.err
+
+
 def test_extension_check_command(tiny_config, tmp_path, capsys):
     assert main(["extension-check", "--config", str(tiny_config)]) == 0
     assert (tmp_path / "out" / "extension_c4.csv").exists()

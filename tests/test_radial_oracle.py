@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import prnls as P
 import prnls.radial_oracle as radial_oracle
+from prnls.cli import DECAY_TOL
 from prnls.radial_oracle import (
     CROSSES,
     DECAYS,
@@ -211,7 +212,7 @@ class TestProfile:
         assert np.all(np.diff(oracle_profile.values) < 0.0)
 
     def test_tail_fully_decayed(self, oracle_profile):
-        assert oracle_profile.values[-1] <= 1e-8 * oracle_profile.u0
+        assert oracle_profile.values[-1] <= DECAY_TOL * oracle_profile.u0
 
     def test_radii_mesh(self, oracle_profile):
         r = oracle_profile.radii()

@@ -1,6 +1,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -224,21 +225,29 @@ class TestRecenter:
     def test_shifted_gaussian_comes_back(self, grid):
         base = P.gaussian_field(grid, 2.0)
         shifted = P.RealField(grid, np.roll(base.values, (13, -7), axis=(0, 1)))
-        assert np.array_equal(P.recenter(shifted).values, base.values)
+        assert np.max(np.abs(P.center(shifted).values - base.values)) <= 1e-15
+
+    def test_seam_straddling_gaussian_comes_back(self, grid):
+        # a half-box roll puts the peak on the periodic seam, in the four corners
+        base = P.gaussian_field(grid, 2.0)
+        half = grid.N // 2
+        shifted = P.RealField(grid, np.roll(base.values, (half, half), axis=(0, 1)))
+        assert np.max(np.abs(P.center(shifted).values - base.values)) <= 1e-15
 
     def test_centered_field_unchanged(self, grid):
         base = P.gaussian_field(grid, 2.0)
-        assert np.array_equal(P.recenter(base).values, base.values)
+        assert np.array_equal(P.center(base).values, base.values)
 
     def test_norms_preserved(self, grid):
         rng = np.random.default_rng(21)
         f = P.RealField(grid, rng.standard_normal(grid.shape))
-        assert P.norm_l2(P.recenter(f)) == pytest.approx(P.norm_l2(f), rel=1e-15)
+        assert P.norm_l2(P.center(f)) == pytest.approx(P.norm_l2(f), rel=1e-15)
 
-    def test_constant_field_warns_and_breaks_ties_lexicographically(self, grid):
+    def test_constant_field_unchanged_without_warning(self, grid):
         const = P.RealField(grid, np.ones(grid.shape))
-        with pytest.warns(UserWarning, match="plateau"):
-            out = P.recenter(const)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = P.center(const)
         assert np.array_equal(out.values, const.values)
 
     def test_subgrid_recenter_kills_subcell_offset(self, grid):
@@ -247,7 +256,7 @@ class TestRecenter:
         d = grid.axis_coordinates() - grid.center_coordinate - off
         r2 = d[:, None] ** 2 + (grid.axis_coordinates() - grid.center_coordinate)[None, :] ** 2
         f = P.RealField(grid, np.exp(-r2 / 8.0))
-        out = P.subgrid_recenter(f)
+        out = P.center(f)
         w = out.values**2
         x = grid.axis_coordinates()
         centroid = float(np.sum(w * x[:, None]) / np.sum(w))
@@ -272,7 +281,7 @@ class TestRecenter:
             shape[axis] = g.N
             phase = phase * np.exp(-1j * d * kd).reshape(shape)
         expect = np.fft.ifftn(phase * np.fft.fftn(f.values)).real
-        out = P.subgrid_recenter(f)
+        out = P.center(f)
         assert np.max(np.abs(out.values - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 

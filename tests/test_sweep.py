@@ -8,6 +8,7 @@ import pytest
 
 import prnls as P
 
+from prnls.solver import SolverConfig
 from prnls.sweep import (
     RunConfig,
     check_uniform_bounds,
@@ -15,6 +16,7 @@ from prnls.sweep import (
     load_run_config,
     make_record,
     records_to_csv,
+    records_to_json,
     run_config_from_dict,
     run_sweep,
 )
@@ -194,3 +196,18 @@ class TestMakeRecord:
         assert rec.err_h1 == 0.0
         assert rec.l2_sq == pytest.approx(P.norm_l2(limit_state.field) ** 2)
         assert rec.min_over_max >= -1e-10
+
+    def test_state_without_positive_sample_is_not_sign_definite(self):
+        # started from minus a Gaussian, the first step collapses the pairing and
+        # leaves a state whose largest sample is a round-off negative
+        grid = P.make_grid(2, 32.0, 64)
+        params = P.PhysParams(m=1.0, mu=1.0, c=math.inf, p=3.0, n=2)
+        init = P.RealField(grid, -P.gaussian_field(grid, 2.0).values)
+        gs = P.solve_ground_state(params, grid, P.limit_multiplier(grid, params),
+                                  SolverConfig(init_field=init))
+        assert gs.stop_reason == "pairing_collapse"
+        assert np.max(gs.field.values) <= 0.0
+        rec = make_record(math.inf, gs, gs.field)
+        assert rec.min_over_max == -math.inf
+        assert records_to_csv([rec]).splitlines()[1].split(",")[-2] == "-inf"
+        assert json.loads(records_to_json([rec]))[0]["min_over_max"] == "-inf"
