@@ -26,16 +26,17 @@ from .extension import (
 )
 from .model import RealField, make_grid
 from .radial_oracle import ground_profile
-from .solver import radial_scatter, solve_ground_state
+from .snapshot import csv_text, write_text
+from .solver import BlowUpError, solve_ground_state
 from .sweep import (
     RunConfig,
-    _write_atomic,
     check_uniform_bounds,
     load_run_config,
+    make_record,
     run_sweep,
     save_state,
 )
-from .symbol import limit_multiplier, relativistic_multiplier
+from .symbol import relativistic_multiplier
 
 # The check tolerances, shared with the acceptance suite.
 J_REL_TOL = 1e-8          # |J| / Q at a computed state
@@ -57,18 +58,15 @@ def _load_config(path: str | None) -> RunConfig:
     return load_run_config(path) if path else RunConfig()
 
 
-def _state_checks(gs) -> list[tuple[str, bool]]:
-    r = gs.report
-    v = gs.field.values
-    peak = float(np.max(v))
-    checks = [
-        ("converged", gs.converged),
-        ("nehari-zero", abs(r.J) <= J_REL_TOL * abs(r.Q)),
-        ("energy-identity", r.identity_gap <= IDENTITY_REL_TOL * abs(r.I)),
-        ("positivity", peak > 0.0 and float(np.min(v)) >= -POSITIVITY_TOL * peak),
-        ("radial-symmetry", radial_scatter(gs.field) <= SCATTER_TOL),
+def _state_checks(record, report) -> list[tuple[str, bool]]:
+    """The per-state checks: the record's verdicts, and the identities of the report."""
+    return [
+        ("converged", record.converged),
+        ("nehari-zero", abs(report.J) <= J_REL_TOL * abs(report.Q)),
+        ("energy-identity", report.identity_gap <= IDENTITY_REL_TOL * abs(report.I)),
+        ("positivity", record.min_over_max >= -POSITIVITY_TOL),
+        ("radial-symmetry", record.radial_scatter <= SCATTER_TOL),
     ]
-    return checks
 
 
 def _report_checks(label: str, checks) -> bool:
@@ -80,22 +78,17 @@ def _report_checks(label: str, checks) -> bool:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
-    c = float(args.c)
+    params = cfg.params_at(float(args.c))
+    c = params.c
     grid = make_grid(cfg.n, cfg.L, cfg.N)
-    if math.isinf(c):
-        params = cfg.limit_params
-        mult = limit_multiplier(grid, params)
-    else:
-        params = cfg.params_at(c)
-        mult = relativistic_multiplier(grid, params)
-    gs = solve_ground_state(params, grid, mult, cfg.solver)
+    gs = solve_ground_state(params, grid, relativistic_multiplier(grid, params), cfg.solver)
     r = gs.report
     print(f"c = {c:g}: I = {r.I:.12g}, |u|_p^p = {r.lp:.12g}, "
           f"residual = {r.residual:.3e}, iterations = {gs.iterations}")
     if cfg.output_dir:
         snap, side = save_state(cfg.output_dir, gs, c)
         print(f"wrote {snap} and {side}")
-    return 0 if _report_checks(f"c={c:g}", _state_checks(gs)) else 1
+    return 0 if _report_checks(f"c={c:g}", _state_checks(make_record(c, gs, gs.field), r)) else 1
 
 
 def cmd_sweep(args) -> int:
@@ -107,9 +100,8 @@ def cmd_sweep(args) -> int:
         print(f"  {r.c:g}, {r.I:.9g}, {r.lp:.9g}, {r.err_h1:.6e}, "
               f"{r.residual:.3e}, {r.iterations}")
     ok = True
-    for rec, gs in zip(result.records, result.states):
-        ok &= _report_checks(f"c={rec.c:g}", _state_checks(gs))
-    ok &= _report_checks("c=inf", _state_checks(result.limit_state))
+    for rec, gs in zip(rows, result.states + (result.limit_state,)):
+        ok &= _report_checks(f"c={rec.c:g}", _state_checks(rec, gs.report))
 
     errs = [r.err_h1 for r in result.records]
     if any(b >= a for a, b in zip(errs, errs[1:])):
@@ -149,37 +141,26 @@ def cmd_extension_check(args) -> int:
               f"neumann gap {neumann:.3e}, strict competitors: {strict}")
         ok &= equality and strict and neumann <= LATTICE_TOL
         if i == 0 and cfg.output_dir:
-            out = Path(cfg.output_dir)
-            out.mkdir(parents=True, exist_ok=True)
             # one row per half-spectrum mode: the others are conjugates with equal values
-            lines = ["index,xi_sq,extension_energy,trace_form,rel_gap"]
-            xi = grid.xi_sq.ravel()
-            e = np.asarray(ext).ravel()
-            t = np.asarray(trace).ravel()
-            g = rel_gap.ravel()
-            for j in range(xi.size):
-                lines.append(f"{j},{xi[j]!r},{e[j]!r},{t[j]!r},{g[j]!r}")
-            path = _write_atomic(out / f"extension_c{c:g}.csv", "\n".join(lines) + "\n")
-            print(f"wrote {path}")
+            cols = [np.asarray(a).ravel().tolist() for a in (grid.xi_sq, ext, trace, rel_gap)]
+            text = csv_text(("index", "xi_sq", "extension_energy", "trace_form", "rel_gap"),
+                            zip(range(len(cols[0])), *cols))
+            print(f"wrote {write_text(Path(cfg.output_dir) / f'extension_c{c:g}.csv', text)}")
     print(f"  [{'ok' if ok else 'FAIL'}] extension checks")
     return 0 if ok else 1
 
 
 def cmd_oracle(args) -> int:
     cfg = _load_config(args.config)
-    params = cfg.limit_params
-    prof = ground_profile(params)
+    prof = ground_profile(cfg.params_at(math.inf))
     print(f"ground amplitude u(0) = {prof.u0:.12g} ({prof.shots} shots)")
     monotone = bool(np.all(np.diff(prof.values) < 0.0))
     positive = bool(np.all(prof.values > 0.0))
     tail = float(prof.values[-1] / prof.u0)
     print(f"  tail value u(r_max)/u(0) = {tail:.3e}")
     out = Path(cfg.output_dir) if cfg.output_dir else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    r = prof.radii()
-    lines = ["r,u"] + [f"{r[i]!r},{prof.values[i]!r}" for i in range(len(r))]
-    path = _write_atomic(out / "oracle_profile.csv", "\n".join(lines) + "\n")
-    print(f"wrote {path}")
+    text = csv_text(("r", "u"), zip(prof.radii().tolist(), prof.values.tolist()))
+    print(f"wrote {write_text(out / 'oracle_profile.csv', text)}")
     ok = monotone and positive and tail <= DECAY_TOL
     print(f"  [{'ok' if ok else 'FAIL'}] profile positive, decreasing, decayed")
     return 0 if ok else 1
@@ -210,9 +191,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (BlowUpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, BlowUpError) else 2  # a diverged solve is a failed run
 
 
 if __name__ == "__main__":

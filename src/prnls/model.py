@@ -251,7 +251,7 @@ def grad_norm_sq(f: RealField | SpectralField) -> float:
     return weighted_power(f, f.grid.xi_sq)
 
 
-def _derivative_freqs(grid: Grid, axis: int) -> np.ndarray:
+def derivative_freqs(grid: Grid, axis: int) -> np.ndarray:
     """Angular frequencies of one axis of the half spectrum, shaped to broadcast along it.
 
     The last axis holds only the nonnegative frequencies.  The Nyquist entry has

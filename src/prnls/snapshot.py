@@ -1,5 +1,7 @@
-"""Field snapshot files: one JSON header line, then raw little-endian float64 samples.
+"""Run files: every file the package writes goes through this module, atomically
+(tmp file, then os.replace).  JSON is strict, CSV cells are plain numbers.
 
+Field snapshots are one JSON header line, then raw little-endian float64 samples.
 The header records the grid (n, L, N) and, when given, the physical parameters,
 so a snapshot is self-describing and loadable by any module.
 """
@@ -8,12 +10,56 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 
 from .model import PhysParams, RealField, make_grid
+
+
+def _write_atomic(path: str | Path, data: bytes) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+    return path
+
+
+def write_text(path: str | Path, text: str) -> Path:
+    """Write ASCII text atomically; returns the path."""
+    return _write_atomic(path, text.encode("ascii"))
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return repr(float(value))
+
+
+def csv_text(columns, rows) -> str:
+    """Header line, then one line per row; a cell is true/false, an int, or repr(float)."""
+    lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _strict(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
+def json_text(obj, indent: int | None = None, sort_keys: bool = False) -> str:
+    """Strict JSON of obj, non-finite floats written as "inf", "-inf" or "nan"."""
+    return json.dumps(_strict(obj), indent=indent, sort_keys=sort_keys, allow_nan=False)
 
 
 def _header(f: RealField, params: PhysParams | None) -> dict:
@@ -24,14 +70,8 @@ def _header(f: RealField, params: PhysParams | None) -> dict:
 
 def save_field(path: str | Path, f: RealField, params: PhysParams | None = None) -> Path:
     """Write atomically: header line + row-major '<f8' payload."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(json.dumps(_header(f, params), sort_keys=True).encode("ascii"))
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
-    os.replace(tmp, path)
-    return path
+    head = json_text(_header(f, params), sort_keys=True) + "\n"
+    return _write_atomic(path, head.encode("ascii") + np.asarray(f.values, "<f8").tobytes())
 
 
 def load_field(path: str | Path) -> tuple[RealField, dict]:
@@ -50,7 +90,8 @@ def load_field(path: str | Path) -> tuple[RealField, dict]:
 
 
 def params_from_header(head: dict) -> PhysParams | None:
+    """The header's parameters; c is "inf" in the limit header (Infinity in older files)."""
     raw = head.get("params")
     if raw is None:
         return None
-    return PhysParams(m=raw["m"], mu=raw["mu"], c=raw["c"], p=raw["p"], n=raw["n"])
+    return PhysParams(m=raw["m"], mu=raw["mu"], c=float(raw["c"]), p=raw["p"], n=raw["n"])

@@ -9,7 +9,8 @@ with the stabilizing exponent gamma = (p-1)/(p-2).  (A + mu)^{-1} is exact in
 spectral space.  solve_ground_state is the package's only solve loop.
 
 Converged states are gauge-fixed: one Fourier shift puts the periodic centroid
-of u_+^2 at the box center, then they are rescaled onto the Nehari manifold.
+of u_+^2 at the box center (an axis with no first moment stays put), then they
+are rescaled onto the Nehari manifold.  A norm above 1e12 raises BlowUpError.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .model import (
     RealField,
     SpectralField,
     TWO_PI,
-    _derivative_freqs,
-    _re_dot,
+    derivative_freqs,
     gaussian_field,
     norm_h1,
     to_physical,
@@ -97,6 +97,7 @@ def center(f: RealField) -> RealField:
     Each axis's centroid is the circular mean of the marginal of (u_+)^2, so a
     state straddling the periodic seam needs no integer roll first; one phase
     multiply moves it with spectral accuracy (the Nyquist row is left unshifted).
+    An axis whose marginal has no first moment has no centroid and is not shifted.
     """
     w = np.maximum(f.values, 0.0) ** 2
     k = TWO_PI / f.grid.L
@@ -104,12 +105,14 @@ def center(f: RealField) -> RealField:
     deltas = []  # center minus centroid, in [-L/2, L/2)
     for axis in range(f.grid.n):
         marginal = np.sum(w, axis=tuple(a for a in range(f.grid.n) if a != axis))
-        deltas.append(-float(np.angle(marginal @ wave)) / k)
+        moment = marginal @ wave
+        no_moment = abs(moment) <= 1e-12 * marginal.sum()
+        deltas.append(0.0 if no_moment else -float(np.angle(moment)) / k)
     if max(abs(d) for d in deltas) < 1e-14:
         return f
     phase = np.ones(f.grid.spectral_shape, dtype=np.complex128)
     for axis, d in enumerate(deltas):
-        phase = phase * np.exp(-1j * d * _derivative_freqs(f.grid, axis))
+        phase = phase * np.exp(-1j * d * derivative_freqs(f.grid, axis))
     return to_physical(SpectralField(f.grid, phase * to_spectral(f).coeffs))
 
 
@@ -165,9 +168,10 @@ def solve_ground_state(params: PhysParams, grid: Grid, M: Multiplier,
     is within half the tolerance, or after max_iter steps, or when the pairing
     <u_+^{p-1}, u> is not positive (that failed step still counts).  The buffers
     are released before the state is finalized.  Deterministic for a fixed
-    configuration.  Raises BlowUpError when the iterate's norm passes 1e12 or it
-    becomes non-finite; plain non-convergence is returned as converged=False
-    with the last iterate and its stop_reason.
+    configuration.  Raises BlowUpError when the iterate's norm passes 1e12 (checked
+    first in each pass, before the power can overflow) or it becomes non-finite;
+    plain non-convergence is returned as converged=False with the last iterate
+    and its stop_reason.
     """
     cfg = cfg or SolverConfig()
     gamma = cfg.resolved_gamma(params.p)
@@ -181,8 +185,12 @@ def solve_ground_state(params: PhysParams, grid: Grid, M: Multiplier,
     u = nehari_project(init, M, params)[1].values  # a new array, the loop's own
     U = to_spectral(RealField(grid, u)).coeffs
     nl, NL = np.empty_like(u), np.empty_like(U)
+    # dot products by einsum, as in model's sums: a BLAS dot's bits vary with its threads
     reason = "max_iter"
     for it in range(cfg.max_iter + 1):
+        u_sq = grid.cell_volume * np.einsum("i,i->", u.ravel(), u.ravel())
+        if u_sq > BLOWUP_NORM**2:  # before the power, which would overflow first
+            raise BlowUpError(f"iterate norm exceeded {BLOWUP_NORM:.0e}")
         clamped_power(u, params.p, out=nl)
         to_spectral(RealField(grid, nl), out=NL)
         U *= sqrt_D
@@ -190,15 +198,12 @@ def solve_ground_state(params: PhysParams, grid: Grid, M: Multiplier,
         U *= sqrt_D
         U -= NL
         res_sq = weighted_power(SpectralField(grid, U))
-        u_sq = grid.cell_volume * _re_dot(u, u)
-        if u_sq > BLOWUP_NORM**2:
-            raise BlowUpError(f"iterate norm exceeded {BLOWUP_NORM:.0e}")
         if u_sq > 0.0 and math.sqrt(res_sq / u_sq) <= 0.5 * cfg.tol_residual:
             reason = "converged"
             break
         if it == cfg.max_iter:
             break
-        pairing = grid.cell_volume * _re_dot(nl, u)
+        pairing = grid.cell_volume * np.einsum("i,i->", nl.ravel(), u.ravel())
         if pairing <= 0.0 or not math.isfinite(pairing):
             reason, it = "pairing_collapse", it + 1
             break

@@ -12,19 +12,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .model import PhysParams, RealField, grad_norm_sq, make_grid, norm_hhalf, norm_l2, to_spectral
-from .snapshot import save_field
+from .snapshot import csv_text, json_text, save_field, write_text
 from .solver import GroundState, SolverConfig, h1_distance, radial_scatter, solve_ground_state
-from .symbol import limit_multiplier, relativistic_multiplier
-
-RECORD_FIELDS = ("c", "I", "lp", "l2_sq", "grad_sq", "hhalf", "err_h1",
-                 "residual", "iterations", "radial_scatter", "min_over_max", "converged")
+from .symbol import relativistic_multiplier
 
 
 @dataclass(frozen=True)
@@ -43,6 +39,9 @@ class SweepRecord:
     radial_scatter: float
     min_over_max: float
     converged: bool
+
+
+RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRecord))
 
 
 @dataclass(frozen=True)
@@ -86,10 +85,6 @@ class RunConfig:
 
     def params_at(self, c: float) -> PhysParams:
         return PhysParams(m=self.m, mu=self.mu, c=float(c), p=self.p, n=self.n)
-
-    @property
-    def limit_params(self) -> PhysParams:
-        return PhysParams(m=self.m, mu=self.mu, c=math.inf, p=self.p, n=self.n)
 
 
 def _label(c: float) -> str:
@@ -186,8 +181,8 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     cfg.output_dir is set, the table and all snapshots are written atomically.
     """
     grid = make_grid(cfg.n, cfg.L, cfg.N)
-    limit_gs = solve_ground_state(cfg.limit_params, grid,
-                                  limit_multiplier(grid, cfg.limit_params), cfg.solver)
+    limit = cfg.params_at(math.inf)
+    limit_gs = solve_ground_state(limit, grid, relativistic_multiplier(grid, limit), cfg.solver)
     states: list[GroundState] = []
     scfg = cfg.solver
     for c in cfg.c_schedule:
@@ -202,7 +197,6 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
                          states=tuple(states), limit_state=limit_gs)
     if cfg.output_dir is not None:
         out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         emit(result.all_records(), out)
         for c, gs in zip(cfg.c_schedule + (math.inf,), states + [limit_gs]):
             save_state(out, gs, c)
@@ -212,19 +206,18 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
 def save_state(out_dir: str | Path, gs: GroundState, c: float) -> tuple[Path, Path]:
     """Snapshot file plus a JSON side-car with the scalar diagnostics."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     label = _label(c)
     snap = save_field(out / f"state_c{label}.f64", gs.field, gs.params)
     payload = {
-        "c": _json_safe(float(c)),
-        "params": {k: _json_safe(v) for k, v in dataclasses.asdict(gs.params).items()},
+        "c": float(c),
+        "params": dataclasses.asdict(gs.params),
         "iterations": gs.iterations,
         "stop_reason": gs.stop_reason,
         "converged": gs.converged,
         "report": dataclasses.asdict(gs.report),
     }
-    side = _write_atomic(out / f"state_c{label}.json",
-                         json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    side = write_text(out / f"state_c{label}.json",
+                      json_text(payload, indent=2, sort_keys=True) + "\n")
     return snap, side
 
 
@@ -261,51 +254,20 @@ def check_uniform_bounds(records, m: float, mu: float) -> BoundsReport:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
 def records_to_csv(records) -> str:
-    lines = [",".join(RECORD_FIELDS)]
-    for r in records:
-        lines.append(",".join(_fmt(getattr(r, name)) for name in RECORD_FIELDS))
-    return "\n".join(lines) + "\n"
-
-
-def _json_safe(value):
-    # keep the output strict JSON: the limit row's c becomes the string "inf"
-    if isinstance(value, float) and not math.isfinite(value):
-        return "inf" if value > 0 else "-inf"
-    return value
+    return csv_text(RECORD_FIELDS, (dataclasses.astuple(r) for r in records))
 
 
 def records_to_json(records) -> str:
-    rows = [{name: _json_safe(getattr(r, name)) for name in RECORD_FIELDS}
-            for r in records]
-    return json.dumps(rows, indent=2) + "\n"
-
-
-def _write_atomic(path: Path, text: str) -> Path:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="ascii")
-    os.replace(tmp, path)
-    return path
+    return json_text([dataclasses.asdict(r) for r in records], indent=2) + "\n"
 
 
 def emit(records, out_dir: str | Path, formats=("csv", "json")) -> list[Path]:
     """Write the table in the requested formats; returns the paths written."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    texts = {"csv": records_to_csv, "json": records_to_json}
     written = []
     for fmt in formats:
-        if fmt == "csv":
-            written.append(_write_atomic(out / "sweep.csv", records_to_csv(records)))
-        elif fmt == "json":
-            written.append(_write_atomic(out / "sweep.json", records_to_json(records)))
-        else:
+        if fmt not in texts:
             raise ValueError(f"unknown format {fmt!r}")
+        written.append(write_text(Path(out_dir) / f"sweep.{fmt}", texts[fmt](records)))
     return written

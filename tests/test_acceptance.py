@@ -128,14 +128,10 @@ def test_criterion_08_oracle_equivalence(limit_state, oracle_profile):
 
 
 def test_criterion_09_sign_and_symmetry(sweep_result, asym_state):
-    pos_ok, scat_ok = True, True
-    worst_scatter = 0.0
-    for gs in sweep_result.states + (sweep_result.limit_state,):
-        v = gs.field.values
-        pos_ok &= float(np.min(v)) >= -POSITIVITY_TOL * float(np.max(v))
-        s = P.radial_scatter(gs.field)
-        worst_scatter = max(worst_scatter, s)
-        scat_ok &= s <= SCATTER_TOL
+    rows = sweep_result.all_records()
+    pos_ok = all(r.min_over_max >= -POSITIVITY_TOL for r in rows)
+    worst_scatter = max(r.radial_scatter for r in rows)
+    scat_ok = worst_scatter <= SCATTER_TOL
     recovery = P.radial_scatter(asym_state.field)
     rec_ok = asym_state.converged and recovery <= 1e-3
     _verdict(9, "sign-and-symmetry", pos_ok and scat_ok and rec_ok,

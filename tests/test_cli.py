@@ -82,6 +82,20 @@ def test_solve_limit_state(tiny_config):
     assert main(["solve", "--c", "inf", "--config", str(tiny_config)]) == 0
 
 
+def test_minus_infinite_c_rejected(tiny_config, tmp_path, capsys):
+    # c = inf is one more value of c, so -inf fails c >= 1 like any other value
+    assert main(["solve", "--c=-inf", "--config", str(tiny_config)]) == 2
+    assert capsys.readouterr().err == "error: c must be >= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_blowup_is_a_failed_run_not_a_rejected_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": {"N": 64}, "solver": {"gamma": 60}}))
+    assert main(["solve", "--c", "4", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: iterate norm exceeded 1e+12\n"
+
+
 def test_sweep_command(tiny_config, tmp_path, capsys):
     assert main(["sweep", "--config", str(tiny_config)]) == 0
     out = capsys.readouterr().out
@@ -124,3 +138,36 @@ def test_defaults_need_no_config_file(tmp_path, monkeypatch, capsys):
     assert main(["oracle"]) == 0
     assert (tmp_path / "oracle_profile.csv").exists()
     capsys.readouterr()
+
+
+def _reject(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_run_files_are_strict_json_and_numeric_csv(tmp_path, capsys):
+    # every file of the four commands: JSON, snapshot header lines included, parses
+    # without NaN/Infinity, and every CSV cell after the header is a plain number
+    # (or a converged flag).  Three iterations keep the solves short; their
+    # unconverged states fail the checks (exit 1) but still write their files.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"N": 64}, "c_schedule": [4, 8],
+                               "solver": {"max_iter": 3}, "output_dir": str(tmp_path / "out")}))
+    for command, code in ((["solve", "--c", "inf"], 1), (["sweep"], 1),
+                          (["extension-check"], 0), (["oracle"], 0)):
+        assert main(command + ["--config", str(cfg)]) == code
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert {"sweep.csv", "sweep.json", "state_cinf.f64", "state_cinf.json",
+            "extension_c4.csv", "oracle_profile.csv"} <= {p.name for p in out.iterdir()}
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject)
+    for path in out.glob("*.f64"):
+        json.loads(path.read_bytes().split(b"\n", 1)[0], parse_constant=_reject)
+    for path in out.glob("*.csv"):
+        header, *rows = path.read_text().splitlines()
+        columns = header.split(",")
+        assert rows
+        for row in rows:
+            for name, cell in zip(columns, row.split(","), strict=True):
+                if not (name == "converged" and cell in ("true", "false")):
+                    float(cell)

@@ -5,13 +5,13 @@ import pytest
 
 import prnls as P
 from conftest import interpolate_to
-from prnls.model import _derivative_freqs
+from prnls.model import derivative_freqs
 
 
 def spectral_gradient(f):
     """Gradient components via the Fourier multiplier i*xi (Nyquist entries zeroed)."""
     F = P.to_spectral(f)
-    return [P.to_physical(P.SpectralField(f.grid, 1j * _derivative_freqs(f.grid, axis) * F.coeffs))
+    return [P.to_physical(P.SpectralField(f.grid, 1j * derivative_freqs(f.grid, axis) * F.coeffs))
             for axis in range(f.grid.n)]
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import prnls as P
-from prnls.snapshot import params_from_header
+from prnls.snapshot import csv_text, json_text, params_from_header
 
 
 def test_roundtrip_bitexact(tmp_path, grid, params_inf):
@@ -39,3 +39,18 @@ def test_truncated_payload_rejected(tmp_path, grid):
 def test_no_tmp_left_behind(tmp_path, grid):
     P.save_field(tmp_path / "k.f64", P.gaussian_field(grid, 1.0))
     assert [p.name for p in tmp_path.iterdir()] == ["k.f64"]
+
+
+def test_json_text_is_strict_at_any_depth():
+    obj = {"a": [1.0, math.inf, {"b": -math.inf}], "c": (math.nan, 2)}
+    assert json_text(obj) == '{"a": [1.0, "inf", {"b": "-inf"}], "c": ["nan", 2]}'
+
+
+def test_csv_cells_are_plain_numbers():
+    rows = [(True, 3, np.float64(0.5), -math.inf), (False, np.int64(2), 1, 0.1)]
+    assert csv_text(("a", "b", "c", "d"), rows) == "a,b,c,d\ntrue,3,0.5,-inf\nfalse,2.0,1,0.1\n"
+
+
+def test_older_infinity_header_loads():
+    head = json.loads('{"params": {"c": Infinity, "m": 1.0, "mu": 1.0, "n": 2, "p": 3.0}}')
+    assert params_from_header(head).c == math.inf

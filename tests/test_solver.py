@@ -134,6 +134,16 @@ class TestSolve:
         with pytest.raises(P.BlowUpError, match=r"^iterate norm exceeded 1e\+12$"):
             P.solve_ground_state(params_inf, grid, limit_mult, cfg)
 
+    @pytest.mark.parametrize("c", [4.0, math.inf])
+    def test_blowup_caught_before_the_power_overflows(self, make_params, c):
+        # gamma = 60 from the default start: the iterate's norm passes 1e12 at a
+        # size whose square overflows, so the guard must come before the power
+        grid = P.make_grid(2, 32.0, 64)
+        params = make_params(c=c)
+        mult = P.relativistic_multiplier(grid, params)
+        with pytest.raises(P.BlowUpError, match=r"^iterate norm exceeded 1e\+12$"):
+            P.solve_ground_state(params, grid, mult, SolverConfig(gamma=60.0))
+
     def test_nonconvergence_reported_not_raised(self, grid, params_inf, limit_mult):
         gs = P.solve_ground_state(params_inf, grid, limit_mult, SolverConfig(max_iter=3))
         assert not gs.converged
@@ -242,6 +252,15 @@ class TestRecenter:
         rng = np.random.default_rng(21)
         f = P.RealField(grid, rng.standard_normal(grid.shape))
         assert P.norm_l2(P.center(f)) == pytest.approx(P.norm_l2(f), rel=1e-15)
+
+    def test_axis_without_first_moment_left_alone(self, grid):
+        # unit Gaussians at center +- 8 along axis 0: the marginal's first Fourier
+        # moment cancels to round-off, so that axis has no centroid to move to
+        x = grid.axis_coordinates() - grid.center_coordinate
+        g = np.exp(-0.5 * x**2)
+        pair = np.exp(-0.5 * (x - 8.0) ** 2) + np.exp(-0.5 * (x + 8.0) ** 2)
+        f = P.RealField(grid, pair[:, None] * g[None, :])
+        assert np.array_equal(P.center(f).values, f.values)
 
     def test_constant_field_unchanged_without_warning(self, grid):
         const = P.RealField(grid, np.ones(grid.shape))

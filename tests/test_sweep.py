@@ -8,6 +8,7 @@ import pytest
 
 import prnls as P
 
+from prnls.snapshot import params_from_header
 from prnls.solver import SolverConfig
 from prnls.sweep import (
     RunConfig,
@@ -21,6 +22,10 @@ from prnls.sweep import (
     run_sweep,
 )
 
+def _reject(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.fixture(scope="module")
 def tiny_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny_sweep")
@@ -31,7 +36,7 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.c_schedule == (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-        assert cfg.limit_params.c == math.inf
+        assert cfg.params_at(math.inf).c == math.inf
 
     def test_mu_above_mc2_rejected(self):
         with pytest.raises(ValueError, match="mc|exceed"):
@@ -82,7 +87,7 @@ class TestRunConfig:
     def test_readme_config_block_is_the_default(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
-        assert run_config_from_dict(json.loads(block)) == RunConfig(output_dir="out")
+        assert run_config_from_dict(json.loads(block)) == RunConfig()
 
     def test_infinite_c_rejected(self):
         # the limit state is always solved; a scheduled c = inf would duplicate
@@ -109,7 +114,9 @@ class TestRunSweep:
         result, out = tiny_result
         field, head = P.load_field(out / "state_cinf.f64")
         assert np.array_equal(field.values, result.limit_state.field.values)
-        assert head["params"]["c"] == math.inf
+        assert params_from_header(head).c == math.inf
+        header = (out / "state_cinf.f64").read_bytes().split(b"\n", 1)[0]
+        assert json.loads(header, parse_constant=_reject)["params"]["c"] == "inf"
 
     def test_report_sidecars(self, tiny_result):
         result, out = tiny_result
