@@ -46,7 +46,6 @@ from .sweep import (
 )
 from .symbol import (
     Multiplier,
-    eval_limit_symbol,
     eval_relativistic_symbol,
     limit_multiplier,
     multiplier_convergence_test,

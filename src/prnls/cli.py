@@ -36,7 +36,6 @@ from .sweep import (
     run_sweep,
     save_state,
 )
-from .symbol import relativistic_multiplier
 
 # The check tolerances, shared with the acceptance suite.
 J_REL_TOL = 1e-8          # |J| / Q at a computed state
@@ -81,7 +80,7 @@ def cmd_solve(args) -> int:
     params = cfg.params_at(float(args.c))
     c = params.c
     grid = make_grid(cfg.n, cfg.L, cfg.N)
-    gs = solve_ground_state(params, grid, relativistic_multiplier(grid, params), cfg.solver)
+    gs = solve_ground_state(params, grid, cfg.solver)
     r = gs.report
     print(f"c = {c:g}: I = {r.I:.12g}, |u|_p^p = {r.lp:.12g}, "
           f"residual = {r.residual:.3e}, iterations = {gs.iterations}")
@@ -127,6 +126,10 @@ def cmd_extension_check(args) -> int:
     grid = make_grid(cfg.n, cfg.L, cfg.N)
     deltas = np.logspace(-6.0, 3.0, 19)
     ok = True
+    c = cfg.c_schedule[-1]  # the largest; the mode energies add up 2 (c^2 |xi|^2 + (m c^2)^2)
+    top = c * c * float(np.max(grid.xi_sq)) + (cfg.m * c * c) * (cfg.m * c * c)
+    if not math.isfinite(2.0 * top):
+        raise ValueError(f"c_schedule value {c:g} is too large: the mode energies overflow float64")
     for i, c in enumerate(cfg.c_schedule):
         params = cfg.params_at(c)
         ext, trace = lattice_mode_energies(grid, params)

@@ -55,23 +55,23 @@ class PhysParams:
         # mu <= m c^2 keeps the shifted kinetic symbol plus mu comparable to the
         # free one; equality (e.g. m = mu = c = 1) is fine since the discrete
         # quadratic form only needs mu > 0.
-        if self.mu > self.m * self.c**2:
+        if self.mu > self.m * self.c * self.c:  # c**2 raises OverflowError above ~1.3e154
             raise ValueError("mu must not exceed m*c^2")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [0, L)^n with N points (a power of two) per axis.
 
     xi_sq holds |xi|^2 on the half spectrum of real-to-complex transforms
-    (spectral_shape).
+    (spectral_shape).  Grids compare and hash by (n, L, N).
     """
 
     n: int
     L: float
     N: int
-    h: float = field(init=False, repr=False)
-    xi_sq: np.ndarray = field(init=False, repr=False)
+    h: float = field(init=False, repr=False, compare=False)
+    xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n not in (2, 3):
@@ -126,9 +126,6 @@ class Grid:
         d = self.axis_coordinates() - self.center_coordinate
         mesh = np.meshgrid(*([d] * self.n), indexing="ij")
         return sum(a * a for a in mesh)
-
-    def same_layout(self, other: "Grid") -> bool:
-        return (self.n, self.L, self.N) == (other.n, other.L, other.N)
 
 
 def make_grid(n: int, L: float, N: int) -> Grid:

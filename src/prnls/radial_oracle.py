@@ -251,9 +251,11 @@ def _narrow(classify, lo: float, hi: float, tol: float, r_max: float,
     return a, b
 
 
-def _search_u0(params: PhysParams, bracket: tuple[float, float], r_max: float, dr: float,
-               tol: float) -> tuple[float, int]:
-    """find_ground_u0 and the number of shots it took."""
+def find_ground_u0(params: PhysParams, bracket: tuple[float, float], r_max: float = 30.0,
+                   dr: float = 1e-3, tol: float = 1e-10) -> tuple[float, int]:
+    """(u0, shots): the amplitude bisection on the undershoot/overshoot dichotomy
+    returns, u(0) to `tol` absolute, found from the shots' exit radii (module
+    docstring), and the number of shots the search took."""
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
@@ -278,32 +280,23 @@ def _search_u0(params: PhysParams, bracket: tuple[float, float], r_max: float, d
     return u0, shots
 
 
-def find_ground_u0(params: PhysParams, bracket: tuple[float, float],
-                   r_max: float = 30.0, dr: float = 1e-3, tol: float = 1e-10) -> float:
-    """The amplitude bisection on the undershoot/overshoot dichotomy returns,
-    u(0) to `tol` absolute, found from the shots' exit radii (module docstring)."""
-    return _search_u0(params, bracket, r_max, dr, tol)[0]
-
-
-def ground_profile(params: PhysParams, r_max: float = 30.0, dr: float = 1e-3,
-                   bracket: tuple[float, float] | None = None,
-                   tol: float = 1e-10) -> RadialProfile:
-    """Accepted profile: bisected shot spliced onto the linearized far-field tail.
+def ground_profile(params: PhysParams) -> RadialProfile:
+    """Accepted profile on [0, 30] at step 1e-3: the shot from find_ground_u0's
+    amplitude on default_bracket, spliced onto the linearized far-field tail.
 
     Below SPLICE_LEVEL * u(0) the raw shot is dominated by the remaining
     bisection uncertainty, so from that radius outward the profile follows the
     decaying solution of the linearized equation,
     u ~ (r_s/r)^{(n-1)/2} exp(-kappa (r - r_s)), kappa = sqrt(2 m mu).
     """
-    if bracket is None:
-        bracket = default_bracket(params)
-    u0, shots = _search_u0(params, bracket, r_max, dr, tol)
+    r_max, dr = 30.0, 1e-3
+    u0, shots = find_ground_u0(params, default_bracket(params), r_max, dr)
     shot = shoot(u0, params, r_max, dr, record=True)
     us = shot.values
     threshold = SPLICE_LEVEL * u0
     below = np.nonzero(us <= threshold)[0]
     if len(below) == 0:
-        raise RuntimeError("shot never reached the splice level; increase r_max")
+        raise RuntimeError(f"shot never reached the splice level by r = {r_max:g}")
     i_s = int(below[0])
     r_s = i_s * dr
     u_s = float(us[i_s])

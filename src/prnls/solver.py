@@ -1,4 +1,4 @@
-"""Ground-state computation for any kinetic multiplier.
+"""Ground-state computation for the relativistic symbol at any c (c = inf is the limit).
 
 The workhorse is the Petviashvili fixed-point iteration
 
@@ -34,7 +34,7 @@ from .model import (
     warn_if_poorly_truncated,
     weighted_power,
 )
-from .symbol import Multiplier
+from .symbol import Multiplier, relativistic_multiplier
 from .variational import EnergyReport, clamped_power, energy, nehari_project
 
 BLOWUP_NORM = 1e12
@@ -65,6 +65,8 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.gamma is not None and not self.gamma > 1.0:
             raise ValueError("gamma must exceed 1")
+        if not self.init_width > 0.0:
+            raise ValueError("init_width must be positive")
         if not self.fallback_step > 0.0:
             raise ValueError("fallback_step must be positive")
 
@@ -159,7 +161,7 @@ def _finalize(values: np.ndarray, grid: Grid, M: Multiplier, params: PhysParams,
                        converged=converged, params=params, stop_reason=stop_reason)
 
 
-def solve_ground_state(params: PhysParams, grid: Grid, M: Multiplier,
+def solve_ground_state(params: PhysParams, grid: Grid,
                        cfg: SolverConfig | None = None) -> GroundState:
     """Petviashvili iteration to the relative-residual target, on work buffers
     allocated once per solve.
@@ -175,11 +177,10 @@ def solve_ground_state(params: PhysParams, grid: Grid, M: Multiplier,
     """
     cfg = cfg or SolverConfig()
     gamma = cfg.resolved_gamma(params.p)
-    if not M.grid.same_layout(grid):
-        raise ValueError("multiplier grid does not match the solve grid")
     init = cfg.init_field if cfg.init_field is not None else gaussian_field(grid, cfg.init_width)
-    if not init.grid.same_layout(grid):
+    if init.grid != grid:
         raise ValueError("init_field grid does not match the solve grid")
+    M = relativistic_multiplier(grid, params)
     D = M.table + params.mu
     sqrt_D, inv_D = np.sqrt(D), 1.0 / D
     u = nehari_project(init, M, params)[1].values  # a new array, the loop's own

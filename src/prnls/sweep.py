@@ -20,7 +20,6 @@ import numpy as np
 from .model import PhysParams, RealField, grad_norm_sq, make_grid, norm_hhalf, norm_l2, to_spectral
 from .snapshot import csv_text, json_text, save_field, write_text
 from .solver import GroundState, SolverConfig, h1_distance, radial_scatter, solve_ground_state
-from .symbol import relativistic_multiplier
 
 
 @dataclass(frozen=True)
@@ -181,13 +180,11 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     cfg.output_dir is set, the table and all snapshots are written atomically.
     """
     grid = make_grid(cfg.n, cfg.L, cfg.N)
-    limit = cfg.params_at(math.inf)
-    limit_gs = solve_ground_state(limit, grid, relativistic_multiplier(grid, limit), cfg.solver)
+    limit_gs = solve_ground_state(cfg.params_at(math.inf), grid, cfg.solver)
     states: list[GroundState] = []
     scfg = cfg.solver
     for c in cfg.c_schedule:
-        pc = cfg.params_at(c)
-        gs = solve_ground_state(pc, grid, relativistic_multiplier(grid, pc), scfg)
+        gs = solve_ground_state(cfg.params_at(c), grid, scfg)
         states.append(gs)
         scfg = dataclasses.replace(cfg.solver, init_field=gs.field)  # warm start
     records = tuple(make_record(c, gs, limit_gs.field)

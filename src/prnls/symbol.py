@@ -1,12 +1,13 @@
-"""The relativistic kinetic symbol, its quadratic-dispersion limit, and multiplier tables.
+"""The relativistic kinetic symbol, its gap to the quadratic limit, and multiplier tables.
 
 The shifted relativistic symbol sqrt(c^2|xi|^2 + m^2 c^4) - m c^2 is always
 evaluated through the algebraically equivalent quotient
 
     a_c(xi) = |xi|^2 / (sqrt(|xi|^2/c^2 + m^2) + m),
 
-which loses no significant digits however large c gets.  The tests compare it
-with the subtraction form wherever the subtraction is safe.
+which loses no significant digits however large c gets; at c = inf it is the
+limit symbol |xi|^2/(2m) to the bit.  The tests compare it with the subtraction
+form wherever the subtraction is safe.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Grid, PhysParams, RealField, to_spectral, weighted_power
-
-RELATIVISTIC = "relativistic"
-LIMIT = "limit"
 
 
 def _scalar_or_array(out: np.ndarray):
@@ -33,13 +31,6 @@ def eval_relativistic_symbol(xi_sq, params: PhysParams):
     with np.errstate(invalid="ignore"):  # xi_sq/c^2 is 0 for c = inf
         denom = np.sqrt(xi_sq / (c * c) + m * m) + m
     out = xi_sq / denom
-    return _scalar_or_array(out)
-
-
-def eval_limit_symbol(xi_sq, params: PhysParams):
-    """Quadratic dispersion |xi|^2 / (2m)."""
-    xi_sq = np.asarray(xi_sq, dtype=np.float64)
-    out = xi_sq / (2.0 * params.m)
     return _scalar_or_array(out)
 
 
@@ -88,8 +79,6 @@ def sandwich_holds(xi_sq, params: PhysParams) -> bool:
 class Multiplier:
     """A diagonal Fourier multiplier: symbol values on the grid's half spectrum."""
 
-    kind: str
-    params: PhysParams
     grid: Grid
     table: np.ndarray
 
@@ -99,17 +88,15 @@ class Multiplier:
             raise ValueError("table shape does not match the grid's half spectrum")
         if not np.all(np.isfinite(t)) or np.any(t < 0.0):
             raise ValueError("multiplier table must be finite and nonnegative")
-        if self.kind in (RELATIVISTIC, LIMIT) and t[(0,) * self.grid.n] != 0.0:
-            raise ValueError("built-in symbols must vanish at xi = 0")
         object.__setattr__(self, "table", t)
 
 
 def relativistic_multiplier(grid: Grid, params: PhysParams) -> Multiplier:
-    return Multiplier(RELATIVISTIC, params, grid, eval_relativistic_symbol(grid.xi_sq, params))
+    return Multiplier(grid, eval_relativistic_symbol(grid.xi_sq, params))
 
 
 def limit_multiplier(grid: Grid, params: PhysParams) -> Multiplier:
-    return Multiplier(LIMIT, params, grid, eval_limit_symbol(grid.xi_sq, params))
+    return relativistic_multiplier(grid, replace(params, c=math.inf))
 
 
 def multiplier_convergence_test(phi: RealField, c_list, params: PhysParams) -> list[float]:

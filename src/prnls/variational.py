@@ -4,7 +4,7 @@ All quantities refer to the standing-wave equation
 
     A u + mu u = |u|^{p-2} u,
 
-where A is a kinetic multiplier (relativistic or limit).  The energy is
+where A is the relativistic kinetic multiplier (the limit at c = inf).  The energy is
 I(u) = Q(u)/2 - ||u||_p^p / p with Q(u) the (A + mu)-weighted quadratic form,
 and J(u) = Q(u) - ||u||_p^p is the Nehari functional whose zero set carries
 the ground states.
@@ -71,7 +71,7 @@ def lp_integral(u: RealField, p: float) -> float:
 
 def quadratic_form(u: RealField | SpectralField, M: Multiplier, params: PhysParams) -> float:
     """Q(u) = sum over the lattice of (a(xi) + mu) |u_hat|^2, Parseval-weighted."""
-    if not M.grid.same_layout(u.grid):
+    if M.grid != u.grid:
         raise ValueError("grid mismatch")
     return weighted_power(u, M.table + params.mu)
 

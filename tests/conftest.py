@@ -83,7 +83,7 @@ def oracle_profile(params_inf):
 
 
 @pytest.fixture(scope="session")
-def asym_state(grid, params_inf, limit_mult):
+def asym_state(grid, params_inf):
     """Converged limit state started from a 5%-asymmetric initial guess."""
     import numpy as np
 
@@ -92,5 +92,4 @@ def asym_state(grid, params_inf, limit_mult):
     skew = (1.0 + 0.05 * np.sin(2 * np.pi * (x[:, None] + 0.37) / grid.L)
             + 0.05 * x[:, None] * x[None, :] / grid.L**2)
     init = P.RealField(grid, base.values * skew)
-    return P.solve_ground_state(params_inf, grid, limit_mult,
-                                P.SolverConfig(init_field=init))
+    return P.solve_ground_state(params_inf, grid, P.SolverConfig(init_field=init))

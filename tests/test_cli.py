@@ -96,6 +96,35 @@ def test_blowup_is_a_failed_run_not_a_rejected_config(tmp_path, capsys):
     assert capsys.readouterr().err == "error: iterate norm exceeded 1e+12\n"
 
 
+@pytest.mark.filterwarnings("ignore::prnls.model.BoundaryDecayWarning")  # as at c = inf
+def test_huge_finite_c_solves_as_the_limit(tiny_config, tmp_path, capsys):
+    # m c^2 is a product: c**2 overflows above ~1.3e154, while c * c is inf
+    assert main(["solve", "--c", "1e300", "--config", str(tiny_config)]) == 0
+    assert main(["solve", "--c", "inf", "--config", str(tiny_config)]) == 0
+    capsys.readouterr()
+    huge, limit = ((tmp_path / "out" / f"state_c{label}.f64").read_bytes().split(b"\n", 1)[1]
+                   for label in ("1e+300", "inf"))
+    assert huge == limit
+
+
+@pytest.mark.parametrize("schedule", [[1e100], [4, 1e300]])
+def test_extension_check_rejects_overflowing_c(tmp_path, capsys, schedule):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": {"N": 64}, "c_schedule": schedule,
+                                "output_dir": str(tmp_path / "out")}))
+    assert main(["extension-check", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: c_schedule value ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("width", [-1.0, math.nan])
+def test_init_width_validated(tmp_path, capsys, width):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"solver": {"init_width": width}}))
+    assert main(["solve", "--c", "4", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: init_width must be positive\n"
+
+
 def test_sweep_command(tiny_config, tmp_path, capsys):
     assert main(["sweep", "--config", str(tiny_config)]) == 0
     out = capsys.readouterr().out

@@ -79,6 +79,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             P.make_grid(2, -1.0, 64)
 
+    def test_compares_and_hashes_by_layout(self):
+        a, b = P.make_grid(2, 32, 256), P.make_grid(2, 32.0, 256)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != P.make_grid(2, 32.0, 128)
+
     def test_3d_grid(self):
         g = P.make_grid(3, 16.0, 64)
         assert g.h == 0.25

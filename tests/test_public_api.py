@@ -19,10 +19,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "prnls"
 
-#: entry points that stand without a caller: the oracle's documented amplitude
-#: search, and criterion 07's convergence test (its caller is the certify command
-#: the roadmap plans)
-ALLOWED = {"prnls.radial_oracle.find_ground_u0", "prnls.symbol.multiplier_convergence_test"}
+#: entry points that stand without a caller: criterion 07's convergence test (its
+#: caller is the certify command the roadmap plans)
+ALLOWED = {"prnls.symbol.multiplier_convergence_test"}
 
 
 def _trees(*dirs):

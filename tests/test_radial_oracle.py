@@ -99,7 +99,7 @@ class TestBisection:
             P.find_ground_u0(params_inf, (5.0, 9.0))  # both overshoot
 
     def test_halving_dr_is_stable(self, params_inf, oracle_profile):
-        u0_half = P.find_ground_u0(params_inf, default_bracket(params_inf), dr=5e-4)
+        u0_half = P.find_ground_u0(params_inf, default_bracket(params_inf), dr=5e-4)[0]
         assert abs(u0_half - oracle_profile.u0) <= 1e-8
 
     def test_oversized_step_still_rejected(self, params_inf):
@@ -125,7 +125,7 @@ class TestExactness:
         u0_ref, steps_ref = BISECTION_REFERENCE[case]
         m, mu, p, n = case
         pp = P.PhysParams(m=m, mu=mu, c=math.inf, p=p, n=n)
-        assert P.find_ground_u0(pp, default_bracket(pp)) == u0_ref
+        assert P.find_ground_u0(pp, default_bracket(pp))[0] == u0_ref
         assert round(sum(shot_radii) / 1e-3) <= steps_ref
 
     def test_profile_counts_its_search_shots(self, params_inf, shot_radii):

@@ -44,9 +44,8 @@ def projected_gradient_solve(params, grid, M, cfg=None):
 
 
 @pytest.fixture(scope="module")
-def deep_state(grid, params_inf, limit_mult):
-    return P.solve_ground_state(params_inf, grid, limit_mult,
-                                SolverConfig(tol_residual=1e-12))
+def deep_state(grid, params_inf):
+    return P.solve_ground_state(params_inf, grid, SolverConfig(tol_residual=1e-12))
 
 
 @pytest.fixture(scope="module")
@@ -76,17 +75,15 @@ class TestSolve:
     def test_matches_radial_oracle(self, limit_state, oracle_profile):
         assert P.compare_profiles(limit_state, oracle_profile) <= 1e-3
 
-    def test_reinit_with_converged_state_stays_put(self, grid, params_inf, limit_mult,
-                                                   limit_state):
-        again = P.solve_ground_state(params_inf, grid, limit_mult,
-                                     SolverConfig(init_field=limit_state.field))
+    def test_reinit_with_converged_state_stays_put(self, grid, params_inf, limit_state):
+        again = P.solve_ground_state(params_inf, grid, SolverConfig(init_field=limit_state.field))
         assert again.converged and again.iterations <= 2
         assert P.h1_distance(again.field, limit_state.field) <= 1e-8
 
-    def test_one_step_fixed_point_consistency(self, grid, deep_state, limit_mult, params_inf):
+    def test_one_step_fixed_point_consistency(self, grid, deep_state, params_inf):
         # a tolerance below the deep state's residual forces exactly one step
         cfg = SolverConfig(init_field=deep_state.field, tol_residual=1e-14, max_iter=1)
-        stepped = P.solve_ground_state(params_inf, grid, limit_mult, cfg)
+        stepped = P.solve_ground_state(params_inf, grid, cfg)
         assert stepped.iterations == 1
         assert P.h1_distance(stepped.field, deep_state.field) <= 1e-10
 
@@ -100,15 +97,14 @@ class TestSolve:
 
     def test_cold_start_agrees_with_warm_start(self, grid, make_params, sweep_result):
         pp = make_params(c=4.0)
-        cold = P.solve_ground_state(pp, grid, P.relativistic_multiplier(grid, pp))
+        cold = P.solve_ground_state(pp, grid)
         warm = sweep_result.states[2]
         assert warm.params.c == 4.0
         assert P.h1_distance(cold.field, warm.field) <= 1e-6
 
     def test_resolution_doubling_preserves_energy(self, params_inf, limit_state):
         fine_grid = P.make_grid(2, 32.0, 512)
-        fine = P.solve_ground_state(params_inf, fine_grid,
-                                    P.limit_multiplier(fine_grid, params_inf))
+        fine = P.solve_ground_state(params_inf, fine_grid)
         coarse_I = limit_state.report.I
         assert abs(fine.report.I - coarse_I) <= 1e-6 * abs(coarse_I)
 
@@ -119,20 +115,20 @@ class TestSolve:
         fine_res = P.energy(lifted, M, params_inf).residual
         assert fine_res <= 10.0 * limit_state.report.residual
 
-    def test_blowup_raises(self, grid, params_inf, limit_mult):
+    def test_blowup_raises(self, grid, params_inf):
         # the non-finite guard: gamma = 60 from a narrow start overflows the step factor
         cfg = SolverConfig(gamma=60.0, init_width=0.3, max_iter=50)
         with pytest.raises(P.BlowUpError, match="^iterate became non-finite$"):
-            P.solve_ground_state(params_inf, grid, limit_mult, cfg)
+            P.solve_ground_state(params_inf, grid, cfg)
 
-    def test_blowup_norm_guard(self, grid, params_inf, limit_mult):
+    def test_blowup_norm_guard(self, grid, params_inf):
         # a sign-changing start pairs less than it weighs (Q(u) > <u_+^{p-1}, u>), so
         # gamma = 60 inflates the first step by a large but finite factor
         base = P.gaussian_field(grid, 2.0).values
         init = P.RealField(grid, base - 0.5 * P.gaussian_field(grid, 4.0).values)
         cfg = SolverConfig(init_field=init, gamma=60.0, max_iter=5)
         with pytest.raises(P.BlowUpError, match=r"^iterate norm exceeded 1e\+12$"):
-            P.solve_ground_state(params_inf, grid, limit_mult, cfg)
+            P.solve_ground_state(params_inf, grid, cfg)
 
     @pytest.mark.parametrize("c", [4.0, math.inf])
     def test_blowup_caught_before_the_power_overflows(self, make_params, c):
@@ -140,20 +136,19 @@ class TestSolve:
         # size whose square overflows, so the guard must come before the power
         grid = P.make_grid(2, 32.0, 64)
         params = make_params(c=c)
-        mult = P.relativistic_multiplier(grid, params)
         with pytest.raises(P.BlowUpError, match=r"^iterate norm exceeded 1e\+12$"):
-            P.solve_ground_state(params, grid, mult, SolverConfig(gamma=60.0))
+            P.solve_ground_state(params, grid, SolverConfig(gamma=60.0))
 
-    def test_nonconvergence_reported_not_raised(self, grid, params_inf, limit_mult):
-        gs = P.solve_ground_state(params_inf, grid, limit_mult, SolverConfig(max_iter=3))
+    def test_nonconvergence_reported_not_raised(self, grid, params_inf):
+        gs = P.solve_ground_state(params_inf, grid, SolverConfig(max_iter=3))
         assert not gs.converged
         assert gs.iterations == 3
         assert gs.stop_reason == "max_iter"
 
-    def test_negative_start_reports_pairing_collapse(self, grid, params_inf, limit_mult):
+    def test_negative_start_reports_pairing_collapse(self, grid, params_inf):
         # u < 0 everywhere has no positive part: the pairing <u_+^{p-1}, u> is 0
         init = P.RealField(grid, P.gaussian_field(grid, 2.0).values - 2.0)
-        gs = P.solve_ground_state(params_inf, grid, limit_mult, SolverConfig(init_field=init))
+        gs = P.solve_ground_state(params_inf, grid, SolverConfig(init_field=init))
         assert (gs.stop_reason, gs.iterations, gs.converged) == ("pairing_collapse", 1, False)
 
     def test_stop_reason_defaults_to_none(self, limit_state):
@@ -166,19 +161,19 @@ class TestSolve:
         # finalized state's residual (odd power, negative lobes) misses the tolerance
         pp = P.PhysParams(m=1.0, mu=1.0, c=1.0, p=2.5, n=3)
         g = P.make_grid(3, 32.0, 64)
-        gs = P.solve_ground_state(pp, g, P.relativistic_multiplier(g, pp))
+        gs = P.solve_ground_state(pp, g)
         assert (gs.stop_reason, gs.iterations, gs.converged) == ("converged", 120, False)
         assert gs.report.residual > 1e-9
 
-    def test_grid_mismatch_rejected(self, params_inf, limit_mult):
-        other = P.make_grid(2, 32.0, 128)
-        with pytest.raises(ValueError):
-            P.solve_ground_state(params_inf, other, limit_mult)
+    def test_grid_mismatch_rejected(self, grid, params_inf):
+        init = P.gaussian_field(P.make_grid(2, 32.0, 128), 2.0)
+        with pytest.raises(ValueError, match="^init_field grid does not match the solve grid$"):
+            P.solve_ground_state(params_inf, grid, SolverConfig(init_field=init))
 
     def test_3d_smoke(self):
         pp = P.PhysParams(m=1.0, mu=1.0, c=4.0, p=2.5, n=3)
         g = P.make_grid(3, 16.0, 32)
-        gs = P.solve_ground_state(pp, g, P.relativistic_multiplier(g, pp))
+        gs = P.solve_ground_state(pp, g)
         assert gs.converged
         assert np.min(gs.field.values) >= -1e-10 * np.max(gs.field.values)
 
@@ -187,18 +182,19 @@ class TestMemory:
     @pytest.mark.parametrize("n, N", [(2, 256), (3, 64)])
     def test_peak_is_flat_in_iterations_and_bounded(self, n, N):
         # tracemalloc peak of one solve in real-field-sized arrays (8 N^n bytes).
-        # Measured: 7.2 (2D) and 7.2 (3D); 7.0 and 8.2 while the inverse transform
-        # allocated a complex temporary per leading axis, 11.6 before the loop ran
-        # on work buffers, and 11.1 when the buffers stay alive through _finalize.
+        # Measured: 7.66 (2D) and 7.74 (3D) with the multiplier table built inside
+        # the solve; 7.16 and 7.22 while the caller built it; 7.0 and 8.2 while the
+        # inverse transform allocated a complex temporary per leading axis, 11.6
+        # before the loop ran on work buffers, and 11.1 when the buffers stay alive
+        # through _finalize.
         pp = P.PhysParams(m=1.0, mu=1.0, c=math.inf, p=3.0 if n == 2 else 2.5, n=n)
         g = P.make_grid(n, 32.0, N)
-        M = P.limit_multiplier(g, pp)
 
         def peak_fields(max_iter):
             cfg = SolverConfig(tol_residual=1e-14, max_iter=max_iter)  # runs all max_iter
             tracemalloc.start()
             try:
-                gs = P.solve_ground_state(pp, g, M, cfg)
+                gs = P.solve_ground_state(pp, g, cfg)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

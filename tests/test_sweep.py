@@ -89,6 +89,14 @@ class TestRunConfig:
         (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
         assert run_config_from_dict(json.loads(block)) == RunConfig()
 
+    # the example solves on the default box, whose truncation warning the sweep
+    # fixture already raises (ROADMAP open item 3); the test guards the API calls
+    @pytest.mark.filterwarnings("ignore::prnls.model.BoundaryDecayWarning")
+    def test_readme_library_example_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+        exec(compile(block, "README.md", "exec"), {})
+
     def test_infinite_c_rejected(self):
         # the limit state is always solved; a scheduled c = inf would duplicate
         # its row and overwrite its snapshot
@@ -210,8 +218,7 @@ class TestMakeRecord:
         grid = P.make_grid(2, 32.0, 64)
         params = P.PhysParams(m=1.0, mu=1.0, c=math.inf, p=3.0, n=2)
         init = P.RealField(grid, -P.gaussian_field(grid, 2.0).values)
-        gs = P.solve_ground_state(params, grid, P.limit_multiplier(grid, params),
-                                  SolverConfig(init_field=init))
+        gs = P.solve_ground_state(params, grid, SolverConfig(init_field=init))
         assert gs.stop_reason == "pairing_collapse"
         assert np.max(gs.field.values) <= 0.0
         rec = make_record(math.inf, gs, gs.field)

@@ -24,7 +24,7 @@ class TestSymbolValues:
     def test_vanishes_at_origin(self, make_params):
         pp = make_params(c=3.0)
         assert P.eval_relativistic_symbol(0.0, pp) == 0.0
-        assert P.eval_limit_symbol(0.0, pp) == 0.0
+        assert P.eval_relativistic_symbol(0.0, make_params(c=math.inf)) == 0.0
 
     def test_hand_value_unit_params(self, make_params):
         # sqrt(3 + 1) - 1 = 1 and 3 / (sqrt(3 + 1) + 1) = 1
@@ -38,14 +38,14 @@ class TestSymbolValues:
         assert 0.5 - 1.0 / 8e16 <= val <= 0.5
 
     def test_limit_symbol_arithmetic(self, make_params):
-        assert P.eval_limit_symbol(2.0, make_params(c=1.0, m=1.0)) == 1.0
-        assert P.eval_limit_symbol(8.0, make_params(c=4.0, m=2.0)) == 2.0
+        assert P.eval_relativistic_symbol(2.0, make_params(c=math.inf, m=1.0)) == 1.0
+        assert P.eval_relativistic_symbol(8.0, make_params(c=math.inf, m=2.0)) == 2.0
 
     def test_infinite_c_equals_limit(self, grid, make_params):
-        pp = make_params(c=math.inf)
-        a = P.eval_relativistic_symbol(grid.xi_sq, pp)
-        b = P.eval_limit_symbol(grid.xi_sq, pp)
-        assert np.array_equal(a, b)
+        # xi^2 / (sqrt(xi^2/inf + m^2) + m) = xi^2 / (2m) to the bit: sqrt(m*m) is m
+        for m in (0.3, 1.0, 1.7, 2.0, 1e3):
+            a = P.eval_relativistic_symbol(grid.xi_sq, make_params(c=math.inf, m=m))
+            assert np.array_equal(a, grid.xi_sq / (2.0 * m)), m
 
     def test_strictly_increasing_in_xi(self, make_params):
         pp = make_params(c=2.0)
@@ -91,7 +91,7 @@ class TestGap:
 
     def test_matches_direct_difference(self, grid, make_params):
         pp = make_params(c=1.0)
-        direct = P.eval_limit_symbol(grid.xi_sq, pp) - P.eval_relativistic_symbol(grid.xi_sq, pp)
+        direct = grid.xi_sq / (2.0 * pp.m) - P.eval_relativistic_symbol(grid.xi_sq, pp)
         stable = P.symbol_gap(grid.xi_sq, pp)
         assert np.max(np.abs(direct - stable)) <= 1e-12 * np.max(stable)
 
@@ -114,15 +114,14 @@ class TestMultiplier:
             assert np.all(M.table >= 0.0)
             assert np.all(np.isfinite(M.table))
 
-    def test_rejects_bad_tables(self, grid, make_params):
-        pp = make_params(c=2.0)
-        P.Multiplier("custom", pp, grid, np.ones(grid.spectral_shape))
+    def test_rejects_bad_tables(self, grid):
+        P.Multiplier(grid, np.ones(grid.spectral_shape))
         with pytest.raises(ValueError, match="nonnegative"):
-            P.Multiplier("custom", pp, grid, -np.ones(grid.spectral_shape))
+            P.Multiplier(grid, -np.ones(grid.spectral_shape))
         with pytest.raises(ValueError, match="finite"):
-            P.Multiplier("custom", pp, grid, np.full(grid.spectral_shape, np.inf))
+            P.Multiplier(grid, np.full(grid.spectral_shape, np.inf))
         with pytest.raises(ValueError, match="half spectrum"):
-            P.Multiplier("custom", pp, grid, np.ones(grid.shape))
+            P.Multiplier(grid, np.ones(grid.shape))
 
     def test_zero_field_maps_to_zero(self, grid, limit_mult):
         out = apply_multiplier(limit_mult, P.RealField(grid, np.zeros(grid.shape)))
