@@ -8,9 +8,10 @@ The workhorse is the Petviashvili fixed-point iteration
 with the stabilizing exponent gamma = (p-1)/(p-2).  (A + mu)^{-1} is exact in
 spectral space.  solve_ground_state is the package's only solve loop.
 
-Converged states are gauge-fixed: one Fourier shift puts the periodic centroid
-of u_+^2 at the box center (an axis with no first moment stays put), then they
-are rescaled onto the Nehari manifold.  A norm above 1e12 raises BlowUpError.
+Every returned state is gauge-fixed: one Fourier shift puts the periodic
+centroid of u_+^2 at the box center (an axis with no first moment stays put).
+It is not rescaled: the iteration's normalization M_k -> 1 already puts a
+converged state on the Nehari manifold.  A norm above 1e12 raises BlowUpError.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .model import (
     warn_if_poorly_truncated,
     weighted_power,
 )
-from .symbol import Multiplier, relativistic_multiplier
+from .symbol import relativistic_multiplier
 from .variational import EnergyReport, clamped_power, energy, nehari_project
 
 BLOWUP_NORM = 1e12
@@ -81,8 +82,8 @@ class GroundState:
     stop_reason says why the iteration stopped: "converged" (the loop's residual
     test passed), "max_iter" or "pairing_collapse" (the Petviashvili pairing
     <u_+^{p-1}, u> is not positive); None for a state not computed by the solver.
-    converged is the separate check of the final, gauge-fixed state against the
-    tolerance.
+    converged is the one verdict: the loop stopped as "converged" and the final,
+    gauge-fixed state's equation residual is within the tolerance.
     """
 
     field: RealField
@@ -146,15 +147,11 @@ def h1_distance(f: RealField, g: RealField) -> float:
     return norm_h1(RealField(f.grid, f.values - g.values))
 
 
-def _finalize(values: np.ndarray, grid: Grid, M: Multiplier, params: PhysParams,
-              cfg: SolverConfig, iterations: int, stop_reason: str) -> GroundState:
+def _finalize(values: np.ndarray, grid: Grid, params: PhysParams, cfg: SolverConfig,
+              iterations: int, stop_reason: str) -> GroundState:
     f = center(RealField(grid, values))
-    try:
-        _, f = nehari_project(f, M, params)
-    except ValueError:
-        pass  # zero field: leave as is, reported non-converged below
-    report = energy(f, M, params)
-    converged = math.isfinite(report.residual) and report.residual <= cfg.tol_residual
+    report = energy(f, relativistic_multiplier(grid, params), params)
+    converged = stop_reason == "converged" and report.residual <= cfg.tol_residual
     if converged:
         warn_if_poorly_truncated(f)
     return GroundState(field=f, report=report, iterations=iterations,
@@ -181,9 +178,12 @@ def solve_ground_state(params: PhysParams, grid: Grid,
     if init.grid != grid:
         raise ValueError("init_field grid does not match the solve grid")
     M = relativistic_multiplier(grid, params)
-    D = M.table + params.mu
-    sqrt_D, inv_D = np.sqrt(D), 1.0 / D
     u = nehari_project(init, M, params)[1].values  # a new array, the loop's own
+    inv_D = M.table  # A + mu, then its reciprocal, in the symbol table's place
+    del M
+    inv_D += params.mu
+    sqrt_D = np.sqrt(inv_D)
+    np.reciprocal(inv_D, out=inv_D)
     U = to_spectral(RealField(grid, u)).coeffs
     nl, NL = np.empty_like(u), np.empty_like(U)
     # dot products by einsum, as in model's sums: a BLAS dot's bits vary with its threads
@@ -210,9 +210,9 @@ def solve_ground_state(params: PhysParams, grid: Grid,
             break
         with np.errstate(over="ignore", invalid="ignore"):  # blow-up is caught below
             np.multiply(NL, (q / pairing) ** gamma, out=U)
-            U *= inv_D  # numpy divides complex by real as a product with 1 / D: same bits
+            U *= inv_D  # numpy divides complex by real as a product with 1 / (A + mu): same bits
         if not np.all(np.isfinite(U)):
             raise BlowUpError("iterate became non-finite")
         to_physical(SpectralField(grid, U), out=u, work=NL)  # NL is refilled next pass
-    del U, nl, NL, D, sqrt_D, inv_D
-    return _finalize(u, grid, M, params, cfg, it, reason)
+    del U, nl, NL, sqrt_D, inv_D
+    return _finalize(u, grid, params, cfg, it, reason)

@@ -95,9 +95,9 @@ def energy(u: RealField, M: Multiplier, params: PhysParams) -> EnergyReport:
 
 def nehari_project(u: RealField, M: Multiplier, params: PhysParams) -> tuple[float, RealField]:
     """Scalar rescaling t* u with J(t* u) = 0; t* = (Q / ||u||_p^p)^{1/(p-2)}."""
-    if norm_l2(u) == 0.0:
+    lp = lp_integral(u, params.p)
+    if lp == 0.0:  # the zero field, or one whose p-th power underflows
         raise ValueError("Nehari projection is undefined for the zero field")
     Q = quadratic_form(u, M, params)
-    lp = lp_integral(u, params.p)
     t_star = float((Q / lp) ** (1.0 / (params.p - 2.0)))
     return t_star, RealField(u.grid, t_star * u.values)

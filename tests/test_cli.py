@@ -96,6 +96,20 @@ def test_blowup_is_a_failed_run_not_a_rejected_config(tmp_path, capsys):
     assert capsys.readouterr().err == "error: iterate norm exceeded 1e+12\n"
 
 
+@pytest.mark.parametrize("solver", [
+    {"gamma": 3},                            # stalls: the loop stops at max_iter
+    {"gamma": 30, "init_width": 1.0},        # the p-th power underflows to 0
+    {"gamma": 600, "init_width": 0.3},       # collapses to the zero field
+])
+def test_unconverged_limit_solve_fails_its_check(tmp_path, capsys, solver):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": {"N": 64}, "solver": dict(solver, max_iter=200)}))
+    assert main(["solve", "--c", "inf", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] c=inf: converged" in captured.out
+    assert captured.err == ""
+
+
 @pytest.mark.filterwarnings("ignore::prnls.model.BoundaryDecayWarning")  # as at c = inf
 def test_huge_finite_c_solves_as_the_limit(tiny_config, tmp_path, capsys):
     # m c^2 is a product: c**2 overflows above ~1.3e154, while c * c is inf

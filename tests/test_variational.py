@@ -92,6 +92,13 @@ class TestNehariProjection:
         with pytest.raises(ValueError):
             P.nehari_project(P.RealField(grid, np.zeros(grid.shape)), limit_mult, params_inf)
 
+    def test_underflowing_power_rejected(self, grid, limit_mult, params_inf):
+        # ||u||_2 is about 1e-120, but |u|^3 underflows to 0 everywhere
+        tiny = P.RealField(grid, 1e-120 * P.gaussian_field(grid, 2.0).values)
+        assert P.norm_l2(tiny) > 0.0
+        with pytest.raises(ValueError, match="^Nehari projection is undefined"):
+            P.nehari_project(tiny, limit_mult, params_inf)
+
 
 class TestResidual:
     def test_generic_field_not_a_solution(self, grid, limit_mult, params_inf):
