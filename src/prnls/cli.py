@@ -59,10 +59,11 @@ def _load_config(path: str | None) -> RunConfig:
 
 def _state_checks(record, report) -> list[tuple[str, bool]]:
     """The per-state checks: the record's verdicts, and the identities of the report."""
+    nonzero = report.Q > 0.0  # a collapsed state meets both identities vacuously
     return [
         ("converged", record.converged),
-        ("nehari-zero", abs(report.J) <= J_REL_TOL * abs(report.Q)),
-        ("energy-identity", report.identity_gap <= IDENTITY_REL_TOL * abs(report.I)),
+        ("nehari-zero", nonzero and abs(report.J) <= J_REL_TOL * report.Q),
+        ("energy-identity", nonzero and report.identity_gap <= IDENTITY_REL_TOL * abs(report.I)),
         ("positivity", record.min_over_max >= -POSITIVITY_TOL),
         ("radial-symmetry", record.radial_scatter <= SCATTER_TOL),
     ]
@@ -85,7 +86,7 @@ def cmd_solve(args) -> int:
     print(f"c = {c:g}: I = {r.I:.12g}, |u|_p^p = {r.lp:.12g}, "
           f"residual = {r.residual:.3e}, iterations = {gs.iterations}")
     if cfg.output_dir:
-        snap, side = save_state(cfg.output_dir, gs, c)
+        snap, side = save_state(cfg.output_dir, gs)
         print(f"wrote {snap} and {side}")
     return 0 if _report_checks(f"c={c:g}", _state_checks(make_record(c, gs, gs.field), r)) else 1
 

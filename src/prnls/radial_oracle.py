@@ -12,11 +12,11 @@ the result is an independent check on the spectral solver.
 The bisection result is computed from fewer RK4 steps than bisection takes.
 Near the ground amplitude u*, a shot exits (crosses or turns) at the radius
 r_end where |u0 - u*| ~ C exp(-rate * r_end), rate -> 2 sqrt(2 m mu), so the
-exit radii of a few shots locate u* far faster than halving does.  That
-search only narrows the bracket; the amplitude returned is the one plain
-bisection takes from the original bracket, replayed with every midpoint
-outside the narrowed bracket classified by monotonicity (the ground state is
-unique, so undershoot and overshoot are separated by one amplitude).
+exit radii of a few shots locate u* far faster than halving does.  The search
+is one bisection loop: a midpoint is shot only while no earlier shot settles
+it (the ground state is unique, so every amplitude below a decaying shot
+decays and every one above a crossing shot crosses), and that shot goes where
+the exit radii say the root is, so most later midpoints are settled for free.
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ DIVERGES = "diverges"
 #: fraction of u(0) below which the recorded shot is replaced by the
 #: linearized far-field tail (bisection noise dominates the raw shot there)
 SPLICE_LEVEL = 1e-4
+
+#: outer radius of the search's shots, and the absolute tolerance of its amplitude
+R_MAX = 30.0
+TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,7 @@ class RadialProfile:
         return self.dr * np.arange(len(self.values))
 
 
-def shoot(u0: float, params: PhysParams, r_max: float = 30.0, dr: float = 1e-3,
+def shoot(u0: float, params: PhysParams, r_max: float = R_MAX, dr: float = 1e-3,
           record: bool = False) -> ShotResult:
     """Integrate one trajectory and classify it.
 
@@ -139,10 +143,6 @@ def default_bracket(params: PhysParams) -> tuple[float, float]:
     return rest, 10.0 * rest
 
 
-#: shots the exit-radius search may take without halving its bracket before it bisects
-STALL_SHOTS = 6
-
-
 def _bisect(classify, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Final interval of bisection on [lo, hi]: a midpoint that classify calls
     CROSSES becomes hi, any other becomes lo."""
@@ -153,21 +153,6 @@ def _bisect(classify, lo: float, hi: float, tol: float) -> tuple[float, float]:
         else:
             lo = mid
     return lo, hi
-
-
-def _replay(classify, lo: float, hi: float, a: float, b: float, tol: float) -> float:
-    """The amplitude plain bisection on [lo, hi] returns, given that every u0 <= a
-    decays and every u0 >= b crosses: only midpoints strictly inside (a, b) are
-    passed to classify."""
-    def known(mid: float) -> str:
-        if mid <= a:
-            return DECAYS
-        if mid >= b:
-            return CROSSES
-        return classify(mid)
-
-    lo, hi = _bisect(known, lo, hi, tol)
-    return 0.5 * (lo + hi)
 
 
 def _rate(far: tuple[float, float], near: tuple[float, float], s: float) -> float:
@@ -209,52 +194,53 @@ def _estimate(pts: list, a: float, b: float, rate0: float) -> float | None:
     return None
 
 
-def _narrow(classify, lo: float, hi: float, tol: float, r_max: float,
-            rate0: float) -> tuple[float, float]:
-    """Shrink the bracket [lo, hi] to width <= tol from the shots' exit radii.
+def _search(classify, lo: float, hi: float, tol: float, r_max: float, rate0: float) -> float:
+    """The amplitude bisection on [lo, hi] returns, shooting only where it must.
 
-    classify(u0) shoots and returns the ShotResult.  Each step shoots the root
-    estimate; once the estimate sits well inside the final interval bisection
-    would reach, it shoots that interval's ends instead, so the replay needs
-    no further shot.  Without an estimate, or after STALL_SHOTS shots that did
-    not halve the bracket, it shoots the midpoint.  Shots that ran to r_max
-    carry no radius and are not used for estimates.
+    classify(u0) shoots and returns the ShotResult.  a is the largest amplitude
+    shot so far that decays and b the smallest that crosses, so a midpoint
+    outside (a, b) is settled without a shot.  A midpoint inside gets one shot,
+    then is looked at again.  That shot goes to the end, on the side of the
+    wider gap, of bisection's final interval around the root estimate when the
+    estimate lies inside it by a quarter of its last move; else to the
+    estimate; else to the midpoint.  After as many shots as bisection takes,
+    only midpoints are shot, so the search takes at most twice its shots.
+    Shots that ran to r_max carry no radius and are not used for estimates.
     """
     a, b = lo, hi
     sides = {DECAYS: [], CROSSES: []}
     last = x_prev = None
-    widths = [b - a]
-    while b - a > tol:
-        stalled = len(widths) > STALL_SHOTS and b - a > 0.5 * widths[-1 - STALL_SHOTS]
-        x = None if last is None or stalled else _estimate(sides[last], a, b, rate0)
-        targets = [] if x is None else [x]
+    budget = math.ceil(math.log2((hi - lo) / tol))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not a < mid < b:
+            lo, hi = (mid, hi) if mid <= a else (lo, mid)
+            continue
+        x = None if last is None or budget <= 0 else _estimate(sides[last], a, b, rate0)
+        t = mid if x is None else x
         if x is not None and x_prev is not None:
             margin = 0.25 * abs(x - x_prev)
-            end_lo, end_hi = _bisect(lambda m: CROSSES if m > x else DECAYS, lo, hi, tol)
+            end_lo, end_hi = _bisect(lambda s: CROSSES if s > x else DECAYS, lo, hi, tol)
             if x - end_lo >= margin and end_hi - x >= margin:
-                targets = [end_lo, end_hi] if x - a > b - x else [end_hi, end_lo]
+                t = end_lo if x - a > b - x else end_hi
         x_prev = x
-        for t in [t for t in targets if a < t < b] or [0.5 * (a + b)]:
-            if not a < t < b:
-                continue  # a first end shot that landed past the estimate settles the second
-            res = classify(t)
-            if res.kind == CROSSES:
-                b = t
-            else:
-                a = t
-            widths.append(b - a)
-            last, pts = res.kind, sides[res.kind]
-            if res.r_end < r_max:
-                if pts and res.r_end <= pts[-1][1]:
-                    pts.clear()  # the radius must grow toward the root
-                pts.append((t, res.r_end))
-    return a, b
+        if not a < t < b:
+            t = mid
+        budget -= 1
+        res = classify(t)
+        a, b = (a, t) if res.kind == CROSSES else (t, b)
+        last, pts = res.kind, sides[res.kind]
+        if res.r_end < r_max:
+            if pts and res.r_end <= pts[-1][1]:
+                pts.clear()  # the radius must grow toward the root
+            pts.append((t, res.r_end))
+    return 0.5 * (lo + hi)
 
 
-def find_ground_u0(params: PhysParams, bracket: tuple[float, float], r_max: float = 30.0,
-                   dr: float = 1e-3, tol: float = 1e-10) -> tuple[float, int]:
+def find_ground_u0(params: PhysParams, bracket: tuple[float, float],
+                   dr: float = 1e-3) -> tuple[float, int]:
     """(u0, shots): the amplitude bisection on the undershoot/overshoot dichotomy
-    returns, u(0) to `tol` absolute, found from the shots' exit radii (module
+    returns, u(0) to TOL absolute, found from the shots' exit radii (module
     docstring), and the number of shots the search took."""
     lo, hi = bracket
     if not (0.0 < lo < hi):
@@ -264,20 +250,18 @@ def find_ground_u0(params: PhysParams, bracket: tuple[float, float], r_max: floa
     def classify(u0: float) -> ShotResult:
         nonlocal shots
         shots += 1
-        res = shoot(u0, params, r_max, dr)
+        res = shoot(u0, params, R_MAX, dr)
         if res.kind == DIVERGES:
             raise RuntimeError(f"divergent shot at u0 = {u0}")
         return res
 
-    s_lo = shoot(lo, params, r_max, dr)
-    s_hi = shoot(hi, params, r_max, dr)
+    s_lo = shoot(lo, params, R_MAX, dr)
+    s_hi = shoot(hi, params, R_MAX, dr)
     shots += 2
     if s_lo.kind != DECAYS or s_hi.kind != CROSSES:
         raise ValueError(f"invalid bracket: endpoints classify as ({s_lo.kind}, {s_hi.kind})")
     rate0 = 2.0 * math.sqrt(2.0 * params.m * params.mu)
-    a, b = _narrow(classify, lo, hi, tol, r_max, rate0)
-    u0 = _replay(lambda mid: classify(mid).kind, lo, hi, a, b, tol)
-    return u0, shots
+    return _search(classify, lo, hi, TOL, R_MAX, rate0), shots
 
 
 def ground_profile(params: PhysParams) -> RadialProfile:
@@ -289,8 +273,8 @@ def ground_profile(params: PhysParams) -> RadialProfile:
     decaying solution of the linearized equation,
     u ~ (r_s/r)^{(n-1)/2} exp(-kappa (r - r_s)), kappa = sqrt(2 m mu).
     """
-    r_max, dr = 30.0, 1e-3
-    u0, shots = find_ground_u0(params, default_bracket(params), r_max, dr)
+    r_max, dr = R_MAX, 1e-3
+    u0, shots = find_ground_u0(params, default_bracket(params), dr)
     shot = shoot(u0, params, r_max, dr, record=True)
     us = shot.values
     threshold = SPLICE_LEVEL * u0

@@ -195,14 +195,15 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     if cfg.output_dir is not None:
         out = Path(cfg.output_dir)
         emit(result.all_records(), out)
-        for c, gs in zip(cfg.c_schedule + (math.inf,), states + [limit_gs]):
-            save_state(out, gs, c)
+        for gs in states + [limit_gs]:
+            save_state(out, gs)
     return result
 
 
-def save_state(out_dir: str | Path, gs: GroundState, c: float) -> tuple[Path, Path]:
-    """Snapshot file plus a JSON side-car with the scalar diagnostics."""
+def save_state(out_dir: str | Path, gs: GroundState) -> tuple[Path, Path]:
+    """Snapshot file plus a JSON side-car with the scalar diagnostics, labelled by gs's c."""
     out = Path(out_dir)
+    c = gs.params.c
     label = _label(c)
     snap = save_field(out / f"state_c{label}.f64", gs.field, gs.params)
     payload = {

@@ -107,6 +107,9 @@ def test_unconverged_limit_solve_fails_its_check(tmp_path, capsys, solver):
     assert main(["solve", "--c", "inf", "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert "[FAIL] c=inf: converged" in captured.out
+    if solver["gamma"] == 600:  # Q = J = I = 0: the identities hold only vacuously
+        assert "[FAIL] c=inf: nehari-zero" in captured.out
+        assert "[FAIL] c=inf: energy-identity" in captured.out
     assert captured.err == ""
 
 
