@@ -83,8 +83,7 @@ class Grid:
         object.__setattr__(self, "h", self.L / self.N)
         freqs = TWO_PI * np.fft.fftfreq(self.N, d=self.h)
         half = TWO_PI * np.fft.rfftfreq(self.N, d=self.h)
-        mesh = np.meshgrid(*([freqs] * (self.n - 1)), half, indexing="ij")
-        object.__setattr__(self, "xi_sq", sum(a * a for a in mesh))
+        object.__setattr__(self, "xi_sq", sum_of_squares([freqs] * (self.n - 1) + [half]))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -123,9 +122,16 @@ class Grid:
 
     def radius_sq(self) -> np.ndarray:
         """Squared distance of every lattice point from the box center."""
-        d = self.axis_coordinates() - self.center_coordinate
-        mesh = np.meshgrid(*([d] * self.n), indexing="ij")
-        return sum(a * a for a in mesh)
+        return sum_of_squares([self.axis_coordinates() - self.center_coordinate] * self.n)
+
+
+def sum_of_squares(axes) -> np.ndarray:
+    """sum_a x_a^2 on the lattice of the 1D coordinate vectors axes (axis a runs along
+    axes[a]), summed in axis order by broadcasting: one full-size array, not one per axis."""
+    total = 0
+    for a, x in enumerate(axes):
+        total = total + (x * x).reshape([-1 if b == a else 1 for b in range(len(axes))])
+    return total
 
 
 def make_grid(n: int, L: float, N: int) -> Grid:

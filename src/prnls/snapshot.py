@@ -19,11 +19,14 @@ import numpy as np
 from .model import PhysParams, RealField, make_grid
 
 
-def _write_atomic(path: str | Path, data: bytes) -> Path:
+def _write_atomic(path: str | Path, *chunks) -> Path:
+    """Write the chunks (bytes, or C-contiguous arrays from their own buffers) in turn."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
+    with open(tmp, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
     os.replace(tmp, path)
     return path
 
@@ -69,9 +72,9 @@ def _header(f: RealField, params: PhysParams | None) -> dict:
 
 
 def save_field(path: str | Path, f: RealField, params: PhysParams | None = None) -> Path:
-    """Write atomically: header line + row-major '<f8' payload."""
+    """Write atomically: header line + row-major '<f8' payload, from the samples' buffer."""
     head = json_text(_header(f, params), sort_keys=True) + "\n"
-    return _write_atomic(path, head.encode("ascii") + np.asarray(f.values, "<f8").tobytes())
+    return _write_atomic(path, head.encode("ascii"), np.ascontiguousarray(f.values, "<f8"))
 
 
 def load_field(path: str | Path) -> tuple[RealField, dict]:

@@ -30,6 +30,7 @@ from .model import (
     derivative_freqs,
     gaussian_field,
     norm_h1,
+    sum_of_squares,
     to_physical,
     to_spectral,
     warn_if_poorly_truncated,
@@ -102,7 +103,8 @@ def center(f: RealField) -> RealField:
     multiply moves it with spectral accuracy (the Nyquist row is left unshifted).
     An axis whose marginal has no first moment has no centroid and is not shifted.
     """
-    w = np.maximum(f.values, 0.0) ** 2
+    w = np.maximum(f.values, 0.0)
+    w *= w
     k = TWO_PI / f.grid.L
     wave = np.exp(1j * k * (f.grid.axis_coordinates() - f.grid.center_coordinate))
     deltas = []  # center minus centroid, in [-L/2, L/2)
@@ -131,9 +133,7 @@ def radial_scatter(f: RealField) -> float:
     scale = float(np.max(np.abs(v)))
     if scale == 0.0:
         return 0.0
-    idx = np.arange(f.grid.N) - f.grid.center_index
-    mesh = np.meshgrid(*([idx] * f.grid.n), indexing="ij")
-    keys = sum(a * a for a in mesh).ravel()
+    keys = sum_of_squares([np.arange(f.grid.N) - f.grid.center_index] * f.grid.n).ravel()
     flat = v.ravel()
     top = np.full(int(keys.max()) + 1, -np.inf)
     bot = np.full(int(keys.max()) + 1, np.inf)
@@ -144,7 +144,10 @@ def radial_scatter(f: RealField) -> float:
 
 
 def h1_distance(f: RealField, g: RealField) -> float:
-    return norm_h1(RealField(f.grid, f.values - g.values))
+    """||f - g||_{H^1}; the difference's samples are dropped once it is transformed."""
+    if f.grid != g.grid:
+        raise ValueError("grid mismatch")
+    return norm_h1(to_spectral(RealField(f.grid, f.values - g.values)))
 
 
 def _finalize(values: np.ndarray, grid: Grid, params: PhysParams, cfg: SolverConfig,
@@ -179,6 +182,7 @@ def solve_ground_state(params: PhysParams, grid: Grid,
         raise ValueError("init_field grid does not match the solve grid")
     M = relativistic_multiplier(grid, params)
     u = nehari_project(init, M, params)[1].values  # a new array, the loop's own
+    del init  # a cold start's Gaussian is not kept through the loop
     inv_D = M.table  # A + mu, then its reciprocal, in the symbol table's place
     del M
     inv_D += params.mu

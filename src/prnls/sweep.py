@@ -157,13 +157,15 @@ def make_record(c: float, gs: GroundState, reference: RealField) -> SweepRecord:
     v = gs.field.values
     peak = float(np.max(v))
     F = to_spectral(gs.field)
+    grad_sq, hhalf = grad_norm_sq(F), norm_hhalf(F)
+    del F  # released before the steps below allocate their own field-sized arrays
     return SweepRecord(
         c=float(c),
         I=float(gs.report.I),
         lp=float(gs.report.lp),
         l2_sq=float(norm_l2(gs.field) ** 2),
-        grad_sq=grad_norm_sq(F),
-        hhalf=norm_hhalf(F),
+        grad_sq=grad_sq,
+        hhalf=hhalf,
         err_h1=float(h1_distance(gs.field, reference)),
         residual=float(gs.report.residual),
         iterations=int(gs.iterations),

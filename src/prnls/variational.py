@@ -54,7 +54,8 @@ def _pos_pow(base: np.ndarray, q: float) -> np.ndarray:
 
 def odd_power(values: np.ndarray, p: float) -> np.ndarray:
     """|u|^{p-2} u for real exponents, i.e. sign(u) |u|^{p-1}."""
-    return np.sign(values) * _pos_pow(np.abs(values), p - 1.0)
+    power = _pos_pow(np.abs(values), p - 1.0)
+    return np.multiply(power, np.sign(values), out=power)
 
 
 def clamped_power(values: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -78,17 +79,23 @@ def quadratic_form(u: RealField | SpectralField, M: Multiplier, params: PhysPara
 
 def energy(u: RealField, M: Multiplier, params: PhysParams) -> EnergyReport:
     """Full scalar report; for the zero field the residual entry is set to 0."""
+    if M.grid != u.grid:
+        raise ValueError("grid mismatch")
+    lp = lp_integral(u, params.p)  # before the spectrum exists: its power has temporaries
     F = to_spectral(u)
-    Q = quadratic_form(F, M, params)
-    lp = lp_integral(u, params.p)
+    D = M.table + params.mu
+    Q = weighted_power(F, D)
     I = 0.5 * Q - lp / params.p
     J = Q - lp
     scale = norm_l2(u)
     res = 0.0
     if scale > 0.0:
-        lhs = to_physical(SpectralField(u.grid, (M.table + params.mu) * F.coeffs))
-        r = lhs.values - odd_power(u.values, params.p)
-        res = float(np.sqrt(u.grid.cell_volume * np.sum(r * r))) / scale
+        np.multiply(F.coeffs, D, out=F.coeffs)  # (A + mu) u_hat, in u_hat's buffer
+        r = to_physical(F, work=F.coeffs).values  # F's buffer takes the partial transforms
+        del D, F
+        r -= odd_power(u.values, params.p)
+        r *= r
+        res = float(np.sqrt(u.grid.cell_volume * np.sum(r))) / scale
     gap = abs(I - (0.5 - 1.0 / params.p) * lp)
     return EnergyReport(Q=Q, lp=lp, I=I, J=J, residual=res, identity_gap=gap)
 

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,21 @@ def interpolate_to(f, N_new):
     padded = np.zeros(fine.spectral_shape, dtype=np.complex128)
     padded[np.ix_(*dst)] = P.to_spectral(f).coeffs[np.ix_(*src)]
     return P.to_physical(P.SpectralField(fine, padded))
+
+
+def peak_fields(grid, fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the call's tracemalloc peak in real fields of grid).
+
+    A field is 8 N^n bytes.  Only what the call allocates counts: its inputs,
+    built before it, sit below the peak.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / (8 * grid.N**grid.n)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import pytest
 
 import prnls as P
 from conftest import interpolate_to
-from prnls.model import derivative_freqs
+from prnls.model import derivative_freqs, sum_of_squares
 
 
 def spectral_gradient(f):
@@ -96,6 +96,20 @@ class TestGrid:
         assert np.isclose(col[32], (math.pi * 64 / 32.0) ** 2)
         assert np.allclose(col[1:], col[1:][::-1])
         assert np.isclose(g.xi_sq[0, -1], col[32])  # the half axis ends at the Nyquist frequency
+
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_lattice_tables_equal_the_meshgrid_sums(self, n):
+        # sum_of_squares broadcasts; a meshgrid summed in axis order is the reference
+        g = P.make_grid(n, 16.0, 32)
+        freqs = 2.0 * math.pi * np.fft.fftfreq(g.N, d=g.h)
+        half = 2.0 * math.pi * np.fft.rfftfreq(g.N, d=g.h)
+        d = g.axis_coordinates() - g.center_coordinate
+        idx = np.arange(g.N) - g.center_index
+        for axes, table in [([freqs] * (n - 1) + [half], g.xi_sq),
+                            ([d] * n, g.radius_sq()), ([idx] * n, sum_of_squares([idx] * n))]:
+            expect = sum(a * a for a in np.meshgrid(*axes, indexing="ij"))
+            assert table.dtype == expect.dtype and np.array_equal(table, expect)
 
 
 class TestTransforms:

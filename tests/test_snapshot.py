@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import prnls as P
+from conftest import peak_fields
 from prnls.snapshot import csv_text, json_text, params_from_header
 
 
@@ -54,3 +55,19 @@ def test_csv_cells_are_plain_numbers():
 def test_older_infinity_header_loads():
     head = json.loads('{"params": {"c": Infinity, "m": 1.0, "mu": 1.0, "n": 2, "p": 3.0}}')
     assert params_from_header(head).c == math.inf
+
+
+def test_payload_is_written_without_a_copy(tmp_path):
+    # the samples go to the file from their own buffer: the parent's tobytes() and
+    # header + payload concatenation peaked at 2 fields
+    grid = P.make_grid(3, 32.0, 64)
+    f = P.gaussian_field(grid, 2.0)
+    path, peak = peak_fields(grid, P.save_field, tmp_path / "big.f64", f)
+    assert peak < 0.1
+    assert np.array_equal(P.load_field(path)[0].values, f.values)
+
+
+def test_non_c_ordered_samples_written_row_major(tmp_path, grid):
+    values = np.random.default_rng(3).standard_normal(grid.shape)
+    path = P.save_field(tmp_path / "t.f64", P.RealField(grid, values.T))
+    assert np.array_equal(P.load_field(path)[0].values, values.T)

@@ -1,12 +1,15 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import prnls as P
+import prnls.solver as solver
+from conftest import peak_fields
 
 from prnls.snapshot import params_from_header
 from prnls.solver import SolverConfig
@@ -160,6 +163,24 @@ class TestRunSweep:
         result = run_sweep(cfg)
         assert len(result.all_records()) == 3
         assert all(not r.converged for r in result.all_records())
+
+    def test_peak_is_set_in_a_solve_loop(self, tmp_path, monkeypatch):
+        # the steps after each loop (finalize, records, snapshots) stay below the
+        # loops' high-water mark, read as each loop hands its state to _finalize
+        loop_peaks = []
+        finalize = solver._finalize
+
+        def probe(*args):
+            loop_peaks.append(tracemalloc.get_traced_memory()[1])
+            return finalize(*args)
+
+        monkeypatch.setattr(solver, "_finalize", probe)
+        cfg = RunConfig(n=3, p=2.5, N=32, c_schedule=(1.0, 4.0), output_dir=str(tmp_path),
+                        solver=SolverConfig(tol_residual=1e-14, max_iter=3))
+        grid = P.make_grid(cfg.n, cfg.L, cfg.N)
+        _, peak = peak_fields(grid, run_sweep, cfg)
+        assert len(loop_peaks) == 3
+        assert peak == max(loop_peaks) / (8 * grid.N**grid.n)
 
     def test_energy_bounded_by_limit_level(self, sweep_result):
         top = sweep_result.limit_record.I

@@ -60,6 +60,20 @@ class TestEnergy:
         assert rep.I == pytest.approx(0.5 * rep.Q - rep.lp / 3.0, rel=1e-14)
         assert rep.J == pytest.approx(rep.Q - rep.lp, rel=1e-14)
 
+    def test_residual_matches_allocating_formula(self, grid, limit_mult, params_inf):
+        # energy forms the residual in place; the bits are those of the plain formula
+        f = random_bump(grid, 9)
+        D = limit_mult.table + params_inf.mu
+        lhs = P.to_physical(P.SpectralField(grid, D * P.to_spectral(f).coeffs)).values
+        r = lhs - np.sign(f.values) * np.abs(f.values) ** 2.0
+        expect = float(np.sqrt(grid.cell_volume * np.sum(r * r))) / P.norm_l2(f)
+        assert P.energy(f, limit_mult, params_inf).residual == expect
+
+    def test_grid_mismatch_rejected(self, limit_mult, params_inf):
+        other = P.make_grid(2, 40.0, 256)
+        with pytest.raises(ValueError, match="^grid mismatch$"):
+            P.energy(P.gaussian_field(other, 2.0), limit_mult, params_inf)
+
     def test_converged_state_on_nehari_manifold(self, limit_state):
         rep = limit_state.report
         assert abs(rep.J) <= 1e-8 * rep.Q
