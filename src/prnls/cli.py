@@ -100,8 +100,8 @@ def cmd_sweep(args) -> int:
         print(f"  {r.c:g}, {r.I:.9g}, {r.lp:.9g}, {r.err_h1:.6e}, "
               f"{r.residual:.3e}, {r.iterations}")
     ok = True
-    for rec, gs in zip(rows, result.states + (result.limit_state,)):
-        ok &= _report_checks(f"c={rec.c:g}", _state_checks(rec, gs.report))
+    for rec, report in zip(rows, result.reports):
+        ok &= _report_checks(f"c={rec.c:g}", _state_checks(rec, report))
 
     errs = [r.err_h1 for r in result.records]
     if any(b >= a for a, b in zip(errs, errs[1:])):
@@ -131,6 +131,7 @@ def cmd_extension_check(args) -> int:
     top = c * c * float(np.max(grid.xi_sq)) + (cfg.m * c * c) * (cfg.m * c * c)
     if not math.isfinite(2.0 * top):
         raise ValueError(f"c_schedule value {c:g} is too large: the mode energies overflow float64")
+    probe = RealField(grid, np.random.default_rng(0).standard_normal(grid.shape))
     for i, c in enumerate(cfg.c_schedule):
         params = cfg.params_at(c)
         ext, trace = lattice_mode_energies(grid, params)
@@ -138,8 +139,6 @@ def cmd_extension_check(args) -> int:
         equality = bool(np.max(rel_gap) <= LATTICE_TOL)
         strict = all(bool(np.all(lattice_perturbation_surplus(grid, d, params) > 0.0))
                      for d in deltas)
-        rng = np.random.default_rng(0)
-        probe = RealField(grid, rng.standard_normal(grid.shape))
         neumann = neumann_consistency(probe, params)
         print(f"  c = {c:g}: max equality gap {np.max(rel_gap):.3e}, "
               f"neumann gap {neumann:.3e}, strict competitors: {strict}")

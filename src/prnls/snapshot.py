@@ -2,8 +2,8 @@
 (tmp file, then os.replace).  JSON is strict, CSV cells are plain numbers.
 
 Field snapshots are one JSON header line, then raw little-endian float64 samples.
-The header records the grid (n, L, N) and, when given, the physical parameters,
-so a snapshot is self-describing and loadable by any module.
+The header records the grid (n, L, N) and the physical parameters, so a
+snapshot is self-describing and loadable by any module.
 """
 
 from __future__ import annotations
@@ -65,15 +65,10 @@ def json_text(obj, indent: int | None = None, sort_keys: bool = False) -> str:
     return json.dumps(_strict(obj), indent=indent, sort_keys=sort_keys, allow_nan=False)
 
 
-def _header(f: RealField, params: PhysParams | None) -> dict:
-    head: dict = {"n": f.grid.n, "L": f.grid.L, "N": f.grid.N}
-    head["params"] = dataclasses.asdict(params) if params is not None else None
-    return head
-
-
-def save_field(path: str | Path, f: RealField, params: PhysParams | None = None) -> Path:
+def save_field(path: str | Path, f: RealField, params: PhysParams) -> Path:
     """Write atomically: header line + row-major '<f8' payload, from the samples' buffer."""
-    head = json_text(_header(f, params), sort_keys=True) + "\n"
+    head = {"n": f.grid.n, "L": f.grid.L, "N": f.grid.N, "params": dataclasses.asdict(params)}
+    head = json_text(head, sort_keys=True) + "\n"
     return _write_atomic(path, head.encode("ascii"), np.ascontiguousarray(f.values, "<f8"))
 
 
@@ -92,9 +87,7 @@ def load_field(path: str | Path) -> tuple[RealField, dict]:
     return RealField(grid, values), head
 
 
-def params_from_header(head: dict) -> PhysParams | None:
+def params_from_header(head: dict) -> PhysParams:
     """The header's parameters; c is "inf" in the limit header (Infinity in older files)."""
-    raw = head.get("params")
-    if raw is None:
-        return None
+    raw = head["params"]
     return PhysParams(m=raw["m"], mu=raw["mu"], c=float(raw["c"]), p=raw["p"], n=raw["n"])

@@ -135,8 +135,8 @@ def radial_scatter(f: RealField) -> float:
         return 0.0
     keys = sum_of_squares([np.arange(f.grid.N) - f.grid.center_index] * f.grid.n).ravel()
     flat = v.ravel()
-    top = np.full(int(keys.max()) + 1, -np.inf)
-    bot = np.full(int(keys.max()) + 1, np.inf)
+    size = int(keys.max()) + 1
+    top, bot = np.full(size, -np.inf), np.full(size, np.inf)
     np.maximum.at(top, keys, flat)
     np.minimum.at(bot, keys, flat)
     present = top > -np.inf

@@ -1,10 +1,12 @@
 """Experiment driver: the light-speed sweep and its reports.
 
 Runs the ground-state solve over an increasing schedule of c values plus the
-limit state, warm-starting each solve from the previous one, and assembles the
-convergence table (H^1 distance to the limit state per c) together with the
-uniform-bound diagnostics.  Output is plot-ready CSV/JSON plus raw field
-snapshots; identical configurations produce byte-identical CSV.
+limit state, warm-starting each solve from the previous one.  Each state is
+recorded (H^1 distance to the limit state, norms, diagnostics) and written as
+soon as it is solved, so no finite-c field outlives the next solve; the
+convergence table and the uniform-bound diagnostics are built from the
+records.  Output is plot-ready CSV/JSON plus raw field snapshots; identical
+configurations produce byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from .model import PhysParams, RealField, grad_norm_sq, make_grid, norm_hhalf, norm_l2, to_spectral
 from .snapshot import csv_text, json_text, save_field, write_text
 from .solver import GroundState, SolverConfig, h1_distance, radial_scatter, solve_ground_state
+from .variational import EnergyReport
 
 
 @dataclass(frozen=True)
@@ -146,8 +149,8 @@ def load_run_config(path: str | Path) -> RunConfig:
 class SweepResult:
     records: tuple[SweepRecord, ...]       # one per c, schedule order
     limit_record: SweepRecord
-    states: tuple[GroundState, ...]
-    limit_state: GroundState
+    reports: tuple[EnergyReport, ...]      # one per row of all_records(), the limit last
+    limit_state: GroundState               # the err_H1 reference
 
     def all_records(self) -> tuple[SweepRecord, ...]:
         return self.records + (self.limit_record,)
@@ -178,27 +181,37 @@ def make_record(c: float, gs: GroundState, reference: RealField) -> SweepRecord:
 def run_sweep(cfg: RunConfig) -> SweepResult:
     """Solve the limit state, then every c in the schedule (warm-started).
 
-    Non-converged solves flag their row and the sweep continues.  When
-    cfg.output_dir is set, the table and all snapshots are written atomically.
+    Each state is recorded against the limit state, and snapshotted when
+    cfg.output_dir is set, as soon as it is solved; the sweep holds only the
+    limit state and the warm start.  Non-converged solves flag their row and
+    the sweep continues.  The table (sweep.csv, sweep.json) is written last,
+    and an earlier run's table in cfg.output_dir is deleted before the first
+    solve: a sweep that raises part-way (BlowUpError) leaves the snapshots of
+    the states it solved and no table, so a directory that holds a table holds
+    a finished run.
     """
+    out = None if cfg.output_dir is None else Path(cfg.output_dir)
+    if out is not None:
+        for fmt in ("csv", "json"):
+            (out / f"sweep.{fmt}").unlink(missing_ok=True)
     grid = make_grid(cfg.n, cfg.L, cfg.N)
     limit_gs = solve_ground_state(cfg.params_at(math.inf), grid, cfg.solver)
-    states: list[GroundState] = []
+    limit_record = make_record(math.inf, limit_gs, limit_gs.field)
+    if out is not None:
+        save_state(out, limit_gs)
+    records, reports = [], []
     scfg = cfg.solver
     for c in cfg.c_schedule:
         gs = solve_ground_state(cfg.params_at(c), grid, scfg)
-        states.append(gs)
-        scfg = dataclasses.replace(cfg.solver, init_field=gs.field)  # warm start
-    records = tuple(make_record(c, gs, limit_gs.field)
-                    for c, gs in zip(cfg.c_schedule, states))
-    limit_record = make_record(math.inf, limit_gs, limit_gs.field)
-    result = SweepResult(records=records, limit_record=limit_record,
-                         states=tuple(states), limit_state=limit_gs)
-    if cfg.output_dir is not None:
-        out = Path(cfg.output_dir)
-        emit(result.all_records(), out)
-        for gs in states + [limit_gs]:
+        records.append(make_record(c, gs, limit_gs.field))
+        reports.append(gs.report)
+        if out is not None:
             save_state(out, gs)
+        scfg = dataclasses.replace(cfg.solver, init_field=gs.field)  # warm start
+    result = SweepResult(records=tuple(records), limit_record=limit_record,
+                         reports=(*reports, limit_gs.report), limit_state=limit_gs)
+    if out is not None:
+        emit(result.all_records(), out)
     return result
 
 

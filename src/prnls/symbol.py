@@ -20,18 +20,13 @@ import numpy as np
 from .model import Grid, PhysParams, RealField, to_spectral, weighted_power
 
 
-def _scalar_or_array(out: np.ndarray):
-    return float(out) if out.ndim == 0 else out
-
-
 def eval_relativistic_symbol(xi_sq, params: PhysParams):
     """a_c(|xi|^2) in the cancellation-free quotient form; works on scalars and arrays."""
     m, c = params.m, params.c
     xi_sq = np.asarray(xi_sq, dtype=np.float64)
     with np.errstate(invalid="ignore"):  # xi_sq/c^2 is 0 for c = inf
         denom = np.sqrt(xi_sq / (c * c) + m * m) + m
-    out = xi_sq / denom
-    return _scalar_or_array(out)
+    return xi_sq / denom
 
 
 def symbol_gap(xi_sq, params: PhysParams):
@@ -48,8 +43,7 @@ def symbol_gap(xi_sq, params: PhysParams):
     with np.errstate(invalid="ignore"):
         lead = xi_sq / (2.0 * m * c * c)
         d = np.sqrt(xi_sq / (c * c) + m2) + m
-    out = lead * (xi_sq / (d * d))
-    return _scalar_or_array(out)
+    return lead * (xi_sq / (d * d))
 
 
 def symbol_gap_bound(xi_sq, params: PhysParams):
@@ -64,8 +58,7 @@ def symbol_gap_bound(xi_sq, params: PhysParams):
     with np.errstate(invalid="ignore"):
         lead = xi_sq / (2.0 * m * c * c)
     d0 = np.sqrt(m2) + m
-    out = lead * (xi_sq / (d0 * d0))
-    return _scalar_or_array(out)
+    return lead * (xi_sq / (d0 * d0))
 
 
 def sandwich_holds(xi_sq, params: PhysParams) -> bool:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import prnls as P
+from prnls.snapshot import params_from_header
 from prnls.sweep import RunConfig, run_sweep
 
 DEFAULTS = dict(m=1.0, mu=1.0, p=3.0, n=2)
@@ -71,10 +72,16 @@ def limit_mult(grid, params_inf):
 
 
 @pytest.fixture(scope="session")
-def sweep_outcome():
+def sweep_dir(tmp_path_factory):
+    """Where the default sweep writes its table and snapshots."""
+    return tmp_path_factory.mktemp("default_sweep")
+
+
+@pytest.fixture(scope="session")
+def sweep_outcome(sweep_dir):
     """Full default sweep, computed once; (result, wall time in seconds)."""
     t0 = time.perf_counter()
-    result = run_sweep(RunConfig())
+    result = run_sweep(RunConfig(output_dir=str(sweep_dir)))
     return result, time.perf_counter() - t0
 
 
@@ -89,8 +96,19 @@ def limit_state(sweep_result):
 
 
 @pytest.fixture(scope="session")
-def state_c1(sweep_result):
-    return sweep_result.states[0]
+def sweep_field(sweep_outcome, sweep_dir):
+    """sweep_field(c): the default sweep's state at c, read back from its snapshot."""
+    def _load(c):
+        field, head = P.load_field(sweep_dir / f"state_c{c:g}.f64")
+        assert params_from_header(head).c == c
+        return field
+    return _load
+
+
+@pytest.fixture(scope="session")
+def state_c1(sweep_field):
+    """The default sweep's c = 1 field."""
+    return sweep_field(1.0)
 
 
 @pytest.fixture(scope="session")

@@ -47,8 +47,7 @@ def test_criterion_01_nonrelativistic_limit(sweep_outcome, limit_state):
 
 def test_criterion_02_nehari_energy_identity(sweep_result):
     worst_j, worst_gap = 0.0, 0.0
-    for gs in sweep_result.states + (sweep_result.limit_state,):
-        rep = gs.report
+    for rep in sweep_result.reports:
         worst_j = max(worst_j, abs(rep.J) / rep.Q)
         worst_gap = max(worst_gap, rep.identity_gap / abs(rep.I))
     ok = worst_j <= J_REL_TOL and worst_gap <= IDENTITY_REL_TOL

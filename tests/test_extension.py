@@ -118,7 +118,7 @@ class TestNeumannConsistency:
 class TestWholeFieldEquivalence:
     def test_ground_state_extension_energy_equals_trace_form(self, state_c1, make_params):
         # extension energy and trace form of the whole field, summed mode by mode
-        ext, trace = lattice_mode_energies(state_c1.field.grid, make_params(c=1.0))
-        F = P.to_spectral(state_c1.field)
+        ext, trace = lattice_mode_energies(state_c1.grid, make_params(c=1.0))
+        F = P.to_spectral(state_c1)
         a, b = P.weighted_power(F, ext), P.weighted_power(F, trace)
         assert abs(a - b) <= 1e-10 * b

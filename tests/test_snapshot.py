@@ -20,25 +20,25 @@ def test_roundtrip_bitexact(tmp_path, grid, params_inf):
     assert restored == params_inf
 
 
-def test_header_is_one_json_line(tmp_path, grid):
-    path = P.save_field(tmp_path / "g.f64", P.gaussian_field(grid, 1.0))
+def test_header_is_one_json_line(tmp_path, grid, params_inf):
+    path = P.save_field(tmp_path / "g.f64", P.gaussian_field(grid, 1.0), params_inf)
     with open(path, "rb") as fh:
         first = fh.readline()
     head = json.loads(first)
-    assert head["params"] is None
+    assert params_from_header(head) == params_inf
     assert math.isfinite(head["L"])
 
 
-def test_truncated_payload_rejected(tmp_path, grid):
-    path = P.save_field(tmp_path / "h.f64", P.gaussian_field(grid, 1.0))
+def test_truncated_payload_rejected(tmp_path, grid, params_inf):
+    path = P.save_field(tmp_path / "h.f64", P.gaussian_field(grid, 1.0), params_inf)
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="payload"):
         P.load_field(path)
 
 
-def test_no_tmp_left_behind(tmp_path, grid):
-    P.save_field(tmp_path / "k.f64", P.gaussian_field(grid, 1.0))
+def test_no_tmp_left_behind(tmp_path, grid, params_inf):
+    P.save_field(tmp_path / "k.f64", P.gaussian_field(grid, 1.0), params_inf)
     assert [p.name for p in tmp_path.iterdir()] == ["k.f64"]
 
 
@@ -61,13 +61,14 @@ def test_payload_is_written_without_a_copy(tmp_path):
     # the samples go to the file from their own buffer: the parent's tobytes() and
     # header + payload concatenation peaked at 2 fields
     grid = P.make_grid(3, 32.0, 64)
+    params = P.PhysParams(m=1.0, mu=1.0, c=math.inf, p=2.5, n=3)
     f = P.gaussian_field(grid, 2.0)
-    path, peak = peak_fields(grid, P.save_field, tmp_path / "big.f64", f)
+    path, peak = peak_fields(grid, P.save_field, tmp_path / "big.f64", f, params)
     assert peak < 0.1
     assert np.array_equal(P.load_field(path)[0].values, f.values)
 
 
-def test_non_c_ordered_samples_written_row_major(tmp_path, grid):
+def test_non_c_ordered_samples_written_row_major(tmp_path, grid, params_inf):
     values = np.random.default_rng(3).standard_normal(grid.shape)
-    path = P.save_field(tmp_path / "t.f64", P.RealField(grid, values.T))
+    path = P.save_field(tmp_path / "t.f64", P.RealField(grid, values.T), params_inf)
     assert np.array_equal(P.load_field(path)[0].values, values.T)

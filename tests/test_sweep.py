@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -9,6 +10,7 @@ import pytest
 
 import prnls as P
 import prnls.solver as solver
+import prnls.sweep as sweep
 from conftest import peak_fields
 
 from prnls.snapshot import params_from_header
@@ -134,7 +136,7 @@ class TestRunSweep:
         side = json.loads((out / "state_c4.json").read_text())
         assert side["converged"] is True
         assert side["stop_reason"] == "converged"
-        assert side["report"]["I"] == result.states[0].report.I
+        assert side["report"]["I"] == result.reports[0].I
         assert side["params"]["mu"] == 1.0
 
     def test_all_rows_converged_and_flagged(self, tiny_result):
@@ -181,6 +183,39 @@ class TestRunSweep:
         _, peak = peak_fields(grid, run_sweep, cfg)
         assert len(loop_peaks) == 3
         assert peak == max(loop_peaks) / (8 * grid.N**grid.n)
+
+    def test_peak_does_not_grow_with_the_schedule(self):
+        # each state is recorded as it is solved, so a sweep holds the limit state
+        # and the warm start however many values of c it is scheduled to solve
+        for n, p, N in ((3, 2.5, 32), (2, 3.0, 128)):
+            peaks = []
+            for schedule in ((1.0, 4.0), (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)):
+                cfg = RunConfig(n=n, p=p, N=N, c_schedule=schedule,
+                                solver=SolverConfig(tol_residual=1e-14, max_iter=3))
+                _, peak = peak_fields(P.make_grid(n, cfg.L, N), run_sweep, cfg)
+                peaks.append(peak)
+            assert abs(peaks[1] - peaks[0]) <= 0.05, (n, peaks)
+
+    def test_failed_rerun_leaves_no_table(self, tmp_path, monkeypatch):
+        # the earlier run's table is deleted before the first solve, so a rerun that
+        # raises part-way leaves its own snapshots and no table beside them; five
+        # iterations are enough, since the files, not the states, are under test
+        cfg = RunConfig(N=64, c_schedule=(4.0, 8.0), solver=SolverConfig(max_iter=5),
+                        output_dir=str(tmp_path))
+        run_sweep(cfg)
+        assert (tmp_path / "sweep.csv").exists()
+        solve = sweep.solve_ground_state
+
+        def blow_up_at_8(params, grid, scfg=None):
+            if params.c == 8.0:
+                raise solver.BlowUpError("iterate norm exceeded 1e+12")
+            return solve(params, grid, scfg)
+
+        monkeypatch.setattr(sweep, "solve_ground_state", blow_up_at_8)
+        with pytest.raises(solver.BlowUpError):
+            run_sweep(dataclasses.replace(cfg, mu=0.5))
+        assert not list(tmp_path.glob("sweep.*"))
+        assert params_from_header(P.load_field(tmp_path / "state_cinf.f64")[1]).mu == 0.5
 
     def test_energy_bounded_by_limit_level(self, sweep_result):
         top = sweep_result.limit_record.I
