@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -64,14 +65,22 @@ class Grid:
     """Uniform periodic grid on [0, L)^n with N points (a power of two) per axis.
 
     xi_sq holds |xi|^2 on the half spectrum of real-to-complex transforms
-    (spectral_shape).  Grids compare and hash by (n, L, N).
+    (spectral_shape).  Grids compare and hash by (n, L, N, even).
+
+    even is the solve loop's layout of a field mirror-even about the center
+    (fold_even): N/2 + 1 samples per axis at offsets 0..N/2, a real spectrum at
+    xi = 2 pi k / L, k = 0..N/2, and mirror_weight, (1, 2, ..., 2, 1) per axis
+    multiplied out, the box points each entry stands for.  The transforms, sums
+    and symbol tables follow it; coordinates, norm_l2 and energy are full-box only.
     """
 
     n: int
     L: float
     N: int
+    even: bool = False
     h: float = field(init=False, repr=False, compare=False)
     xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    mirror_weight: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n not in (2, 3):
@@ -83,16 +92,20 @@ class Grid:
         object.__setattr__(self, "h", self.L / self.N)
         freqs = TWO_PI * np.fft.fftfreq(self.N, d=self.h)
         half = TWO_PI * np.fft.rfftfreq(self.N, d=self.h)
-        object.__setattr__(self, "xi_sq", sum_of_squares([freqs] * (self.n - 1) + [half]))
+        axes = [half] * self.n if self.even else [freqs] * (self.n - 1) + [half]
+        object.__setattr__(self, "xi_sq", sum_of_squares(axes))
+        edge = np.r_[1.0, np.full(self.N // 2 - 1, 2.0), 1.0]
+        object.__setattr__(self, "mirror_weight",
+                           reduce(np.multiply.outer, [edge] * self.n) if self.even else None)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return (self.N,) * self.n
+        return (self.N // 2 + 1 if self.even else self.N,) * self.n
 
     @property
     def spectral_shape(self) -> tuple[int, ...]:
-        """Shape of the half spectrum: the last axis keeps the N//2 + 1 nonnegative frequencies."""
-        return (self.N,) * (self.n - 1) + (self.N // 2 + 1,)
+        """Shape of the half spectrum: the last axis (each, if even) keeps N//2 + 1 frequencies."""
+        return self.shape if self.even else (self.N,) * (self.n - 1) + (self.N // 2 + 1,)
 
     @property
     def cell_volume(self) -> float:
@@ -121,8 +134,9 @@ class Grid:
         return self.h * np.arange(self.N)
 
     def radius_sq(self) -> np.ndarray:
-        """Squared distance of every lattice point from the box center."""
-        return sum_of_squares([self.axis_coordinates() - self.center_coordinate] * self.n)
+        """Squared distance of every lattice point from the box center; the offsets
+        h (i - N/2) are exactly antisymmetric about it for every h."""
+        return sum_of_squares([self.h * (np.arange(self.N) - self.N // 2)] * self.n)
 
 
 def sum_of_squares(axes) -> np.ndarray:
@@ -161,13 +175,14 @@ class SpectralField:
 
     The modes with a negative last-axis frequency are the complex conjugates
     of stored ones and are left out (real-to-complex layout, spectral_shape).
+    In the even layout they are real: the field's, about the box center.
     """
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
+        c = np.asarray(self.coeffs, dtype=np.float64 if self.grid.even else np.complex128)
         if c.shape != self.grid.spectral_shape:
             raise ValueError(f"coeffs shape {c.shape} does not match the half spectrum "
                              f"{self.grid.spectral_shape}")
@@ -179,8 +194,10 @@ def to_spectral(f: RealField, out: np.ndarray | None = None) -> SpectralField:
 
         h^n * sum(f^2) == weighted_power(to_spectral(f))
 
-    holds exactly (up to roundoff).  out, a complex array of spectral_shape, receives
+    holds exactly (up to roundoff).  out, an array of spectral_shape, receives
     the coefficients in place of a new array."""
+    if f.grid.even:
+        return SpectralField(f.grid, np.multiply(_dct1(f.values), f.grid.fourier_scale, out=out))
     coeffs = np.fft.rfftn(f.values, out=out)
     coeffs *= f.grid.fourier_scale
     return SpectralField(f.grid, coeffs)
@@ -191,12 +208,15 @@ def to_physical(F: SpectralField, out: np.ndarray | None = None,
     """Inverse complex-to-real transform back to real samples; out, a real array of
     the grid's shape, receives them, and work, a complex array of spectral_shape
     whose contents are overwritten, holds the partial transforms, each in place of
-    a new array.
+    a new array (the even layout needs no work).
 
     The leading axes are inverted one at a time into work, in irfftn's own order,
     and the last axis by irfft into out: the same steps irfftn takes, so the same
     bits, without its complex temporary per leading axis."""
     grid = F.grid
+    if grid.even:  # the DCT-I is its own inverse up to N per axis
+        scale = grid.fourier_scale * grid.N**grid.n
+        return RealField(grid, np.divide(_dct1(F.coeffs), scale, out=out))
     if work is None:
         work = np.empty(grid.spectral_shape, dtype=np.complex128)
     src = F.coeffs
@@ -206,6 +226,32 @@ def to_physical(F: SpectralField, out: np.ndarray | None = None,
     values = np.fft.irfft(work, n=grid.N, axis=-1, out=out)
     values /= grid.fourier_scale
     return RealField(grid, values)
+
+
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """DCT-I along every axis: the DFT of the mirror-even extension of x's N/2 + 1
+    samples per axis, at its N/2 + 1 nonnegative frequencies (hfft of real input)."""
+    for axis, size in enumerate(x.shape):
+        x = np.fft.hfft(x, n=2 * size - 2, axis=axis)[(slice(None),) * axis + (slice(size),)]
+    return x
+
+
+def fold_even(f: RealField) -> RealField | None:
+    """f on the even layout of its grid, when f is exactly mirror-even about index N/2
+    on every axis (u[N/2 + j] == u[N/2 - j]); None otherwise."""
+    v, N, half = f.values, f.grid.N, f.grid.N // 2
+    for axis in range(f.grid.n):
+        lead = (slice(None),) * axis
+        if not np.array_equal(v[lead + (slice(1, half),)], v[lead + (slice(N - 1, half, -1),)]):
+            return None
+    return RealField(replace(f.grid, even=True), v[(slice(half, None, -1),) * f.grid.n].copy())
+
+
+def unfold_even(f: RealField) -> RealField:
+    """The full-box field that f, on an even layout, holds the nonnegative offsets of."""
+    grid = replace(f.grid, even=False)
+    offset = np.abs(np.arange(grid.N) - grid.N // 2)
+    return RealField(grid, f.values[np.ix_(*[offset] * grid.n)])
 
 
 def norm_l2(f: RealField) -> float:
@@ -222,6 +268,11 @@ def _re_dot(a: np.ndarray, b: np.ndarray) -> np.float64:
     return np.einsum("i,i->", x, y)
 
 
+def sample_dot(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.float64:
+    """h^n * sum over the box of a * b, for samples a and b in grid's layout."""
+    return grid.cell_volume * _re_dot(grid.mirror_weight * a if grid.even else a, b)
+
+
 def weighted_power(f: RealField | SpectralField, weight=None) -> float:
     """(2*pi/L)^n * sum(weight * |f_hat|^2) over the full lattice, weight 1 if omitted:
     every Sobolev norm and quadratic form.  f is a spectrum at hand, or real samples
@@ -230,12 +281,16 @@ def weighted_power(f: RealField | SpectralField, weight=None) -> float:
     The Parseval column weight is 2 on interior columns, which also stand for their
     conjugate partners, and 1 on the zero and Nyquist columns, which hold their own:
     twice the sum over the half spectrum, less the two edge columns once.  Each sum
-    is a dot product, Re <weight * f_hat, f_hat>.
+    is a dot product, Re <weight * f_hat, f_hat>.  The even layout weights every
+    axis so, by the grid's mirror_weight.
     """
     F = (f if isinstance(f, SpectralField) else to_spectral(f)).coeffs
     wF = F if weight is None else weight * F
-    total = (2.0 * _re_dot(wF, F) - _re_dot(wF[..., 0], F[..., 0])
-             - _re_dot(wF[..., -1], F[..., -1]))
+    if f.grid.even:
+        total = _re_dot(f.grid.mirror_weight * wF, F)
+    else:
+        total = (2.0 * _re_dot(wF, F) - _re_dot(wF[..., 0], F[..., 0])
+                 - _re_dot(wF[..., -1], F[..., -1]))
     return float(f.grid.spectral_weight * total)
 
 

@@ -28,11 +28,14 @@ from .model import (
     SpectralField,
     TWO_PI,
     derivative_freqs,
+    fold_even,
     gaussian_field,
     norm_h1,
+    sample_dot,
     sum_of_squares,
     to_physical,
     to_spectral,
+    unfold_even,
     warn_if_poorly_truncated,
     weighted_power,
 )
@@ -166,6 +169,10 @@ def solve_ground_state(params: PhysParams, grid: Grid,
     """Petviashvili iteration to the relative-residual target, on work buffers
     allocated once per solve.
 
+    A start exactly mirror-even about the box center on every axis (a Gaussian, a
+    state this solver returned) runs the loop on the grid's even layout, and the
+    state is mirrored back to the full box; any other start runs on the full box.
+
     Each pass stops once the spectral residual ||(A + mu) u - u_+^{p-1}|| / ||u||
     is within half the tolerance, or after max_iter steps, or when the pairing
     <u_+^{p-1}, u> is not positive (that failed step still counts).  The buffers
@@ -180,35 +187,35 @@ def solve_ground_state(params: PhysParams, grid: Grid,
     init = cfg.init_field if cfg.init_field is not None else gaussian_field(grid, cfg.init_width)
     if init.grid != grid:
         raise ValueError("init_field grid does not match the solve grid")
-    M = relativistic_multiplier(grid, params)
-    u = nehari_project(init, M, params)[1].values  # a new array, the loop's own
+    init = fold_even(init) or init  # the layout follows the start; there is no option
+    M = relativistic_multiplier(init.grid, params)
+    layout, u = init.grid, nehari_project(init, M, params)[1].values  # the loop's own array
     del init  # a cold start's Gaussian is not kept through the loop
     inv_D = M.table  # A + mu, then its reciprocal, in the symbol table's place
     del M
     inv_D += params.mu
     sqrt_D = np.sqrt(inv_D)
     np.reciprocal(inv_D, out=inv_D)
-    U = to_spectral(RealField(grid, u)).coeffs
+    U = to_spectral(RealField(layout, u)).coeffs
     nl, NL = np.empty_like(u), np.empty_like(U)
-    # dot products by einsum, as in model's sums: a BLAS dot's bits vary with its threads
     reason = "max_iter"
     for it in range(cfg.max_iter + 1):
-        u_sq = grid.cell_volume * np.einsum("i,i->", u.ravel(), u.ravel())
+        u_sq = sample_dot(layout, u, u)
         if u_sq > BLOWUP_NORM**2:  # before the power, which would overflow first
             raise BlowUpError(f"iterate norm exceeded {BLOWUP_NORM:.0e}")
         clamped_power(u, params.p, out=nl)
-        to_spectral(RealField(grid, nl), out=NL)
+        to_spectral(RealField(layout, nl), out=NL)
         U *= sqrt_D
-        q = weighted_power(SpectralField(grid, U))
+        q = weighted_power(SpectralField(layout, U))
         U *= sqrt_D
         U -= NL
-        res_sq = weighted_power(SpectralField(grid, U))
+        res_sq = weighted_power(SpectralField(layout, U))
         if u_sq > 0.0 and math.sqrt(res_sq / u_sq) <= 0.5 * cfg.tol_residual:
             reason = "converged"
             break
         if it == cfg.max_iter:
             break
-        pairing = grid.cell_volume * np.einsum("i,i->", nl.ravel(), u.ravel())
+        pairing = sample_dot(layout, nl, u)
         if pairing <= 0.0 or not math.isfinite(pairing):
             reason, it = "pairing_collapse", it + 1
             break
@@ -217,6 +224,9 @@ def solve_ground_state(params: PhysParams, grid: Grid,
             U *= inv_D  # numpy divides complex by real as a product with 1 / (A + mu): same bits
         if not np.all(np.isfinite(U)):
             raise BlowUpError("iterate became non-finite")
-        to_physical(SpectralField(grid, U), out=u, work=NL)  # NL is refilled next pass
+        to_physical(SpectralField(layout, U), out=u, work=NL)  # NL is refilled next pass
     del U, nl, NL, sqrt_D, inv_D
+    if layout.even:
+        u = unfold_even(RealField(layout, u)).values
+    del layout  # the even grid's tables
     return _finalize(u, grid, params, cfg, it, reason)

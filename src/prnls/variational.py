@@ -55,7 +55,7 @@ def _pos_pow(base: np.ndarray, q: float) -> np.ndarray:
 def odd_power(values: np.ndarray, p: float) -> np.ndarray:
     """|u|^{p-2} u for real exponents, i.e. sign(u) |u|^{p-1}."""
     power = _pos_pow(np.abs(values), p - 1.0)
-    return np.multiply(power, np.sign(values), out=power)
+    return np.copysign(power, values, out=power)
 
 
 def clamped_power(values: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -67,7 +67,10 @@ def clamped_power(values: np.ndarray, p: float, out: np.ndarray | None = None) -
 
 
 def lp_integral(u: RealField, p: float) -> float:
-    return float(u.grid.cell_volume * np.sum(_pos_pow(np.abs(u.values), p)))
+    power = _pos_pow(np.abs(u.values), p)
+    if u.grid.even:
+        power *= u.grid.mirror_weight
+    return float(u.grid.cell_volume * np.sum(power))
 
 
 def quadratic_form(u: RealField | SpectralField, M: Multiplier, params: PhysParams) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import prnls as P
 from conftest import interpolate_to
-from prnls.model import derivative_freqs, sum_of_squares
+from prnls.model import derivative_freqs, fold_even, sample_dot, sum_of_squares, unfold_even
 
 
 def spectral_gradient(f):
@@ -243,3 +244,82 @@ class TestHalfSpectrum:
         assert got.values is out
         assert np.array_equal(got.values, ref) and np.array_equal(P.to_physical(F).values, ref)
         assert np.array_equal(F.coeffs, kept)  # work, not the spectrum, holds the partial transforms
+
+
+def reflection(v):
+    """v mirrored about index N/2 on every axis: index j goes to N - j (mod N)."""
+    axes = tuple(range(v.ndim))
+    return np.roll(np.flip(v, axes), 1, axes)
+
+
+class TestEvenLayout:
+    """The solve loop's mirror-even layout against the full box it stands for."""
+
+    @pytest.fixture(params=[2, 3], ids=["2d", "3d"])
+    def even_noise(self, request):
+        # white noise mirrored to the full box: every even mode is populated
+        n = request.param
+        g = P.make_grid(n, 16.0, 64 if n == 2 else 32)
+        half = dataclasses.replace(g, even=True)
+        rng = np.random.default_rng(800 + n)
+        return unfold_even(P.RealField(half, rng.standard_normal(half.shape)))
+
+    @pytest.mark.parametrize("n, N", [(2, 64), (3, 32)])
+    def test_gaussian_is_exactly_mirror_even_for_any_L(self, n, N):
+        # h = 10.3 / N is not dyadic: offsets taken as h i - h N/2 broke the symmetry
+        g = P.make_grid(n, 10.3, N)
+        v = P.gaussian_field(g, 1.0).values
+        assert np.array_equal(v, reflection(v))
+        assert fold_even(P.gaussian_field(g, 1.0)) is not None
+
+    def test_fold_needs_exact_evenness(self, even_noise):
+        g, v = even_noise.grid, even_noise.values
+        assert np.array_equal(v, reflection(v))
+        assert fold_even(P.RealField(g, np.roll(v, 1, axis=0))) is None
+        nudged = v.copy()
+        nudged[(1,) * g.n] = np.nextafter(nudged[(1,) * g.n], np.inf)
+        assert fold_even(P.RealField(g, nudged)) is None
+
+    def test_unfold_inverts_fold(self, even_noise):
+        folded = fold_even(even_noise)
+        g = even_noise.grid
+        assert folded.grid.even and folded.grid != g and folded.grid.shape == (g.N // 2 + 1,) * g.n
+        back = unfold_even(folded)
+        assert back.grid == g and np.array_equal(back.values, even_noise.values)
+
+    def test_symbol_table_is_the_full_table_at_nonnegative_frequencies(self, even_noise):
+        g = even_noise.grid
+        params = P.PhysParams(m=1.0, mu=1.0, c=2.0, p=2.5, n=g.n)
+        full = P.relativistic_multiplier(g, params).table
+        even = P.relativistic_multiplier(dataclasses.replace(g, even=True), params).table
+        assert np.array_equal(even, full[(slice(g.N // 2 + 1),) * g.n])
+
+    @pytest.mark.parametrize("weight", ["one", "h1"])
+    def test_sums_match_the_full_box(self, even_noise, weight):
+        g = even_noise.grid
+        folded = fold_even(even_noise)
+        weight_of = {"one": lambda xi_sq: None, "h1": lambda xi_sq: 1.0 + xi_sq}[weight]
+        got = P.weighted_power(folded, weight_of(folded.grid.xi_sq))
+        assert got == pytest.approx(P.weighted_power(even_noise, weight_of(g.xi_sq)), rel=1e-13)
+        v = even_noise.values
+        assert (sample_dot(folded.grid, folded.values, folded.values)
+                == pytest.approx(g.cell_volume * np.sum(v * v), rel=1e-13))
+        assert sample_dot(g, v, v) == g.cell_volume * np.einsum("i,i->", v.ravel(), v.ravel())
+
+    def test_coefficients_are_the_full_ones_about_the_center(self, even_noise):
+        # about index N/2 the full coefficients carry the sign (-1)^(k_1 + ... + k_n)
+        g = even_noise.grid
+        keep = (slice(g.N // 2 + 1),) * g.n
+        k = sum(np.arange(g.N // 2 + 1).reshape([-1 if b == a else 1 for b in range(g.n)])
+                for a in range(g.n))
+        full = P.to_spectral(even_noise).coeffs[keep] * (-1.0) ** k
+        even = P.to_spectral(fold_even(even_noise)).coeffs
+        assert even.dtype == np.float64
+        np.testing.assert_allclose(even, full.real, rtol=0, atol=1e-13 * np.max(np.abs(full)))
+
+    def test_roundtrip_into_buffers(self, even_noise):
+        folded = fold_even(even_noise)
+        g = folded.grid
+        F = P.to_spectral(folded, out=np.empty(g.spectral_shape))
+        back = P.to_physical(F, out=np.empty(g.shape))
+        assert np.max(np.abs(back.values - folded.values)) <= 1e-14 * np.max(np.abs(folded.values))

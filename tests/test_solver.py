@@ -1,13 +1,15 @@
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import prnls as P
+import prnls.solver as solver
 from conftest import interpolate_to, peak_fields
-from prnls.model import warn_if_poorly_truncated
+from prnls.model import fold_even, warn_if_poorly_truncated
 from prnls.solver import SolverConfig
 from prnls.sweep import make_record
 from prnls.variational import clamped_power
@@ -93,6 +95,19 @@ class TestSolve:
     def test_symmetry_recovery_from_asymmetric_init(self, asym_state):
         assert asym_state.converged
         assert P.radial_scatter(asym_state.field) <= 1e-3
+
+    def test_even_layout_agrees_with_the_full_box(self, grid, params_inf, limit_state):
+        # the limit state's Gaussian start is mirror-even, so its loop ran on the even
+        # layout; rolled by one cell it is not, and the loop runs on the full box, the
+        # state then shifted back by _finalize's centering
+        start = P.gaussian_field(grid, 2.0)
+        rolled = P.RealField(grid, np.roll(start.values, 1, axis=0))
+        assert fold_even(start) is not None and fold_even(rolled) is None
+        with pytest.warns(P.model.BoundaryDecayWarning):  # as the limit state's 2.8e-10
+            full = P.solve_ground_state(params_inf, grid, SolverConfig(init_field=rolled))
+        assert full.converged and full.iterations == limit_state.iterations
+        assert full.report.I == pytest.approx(limit_state.report.I, rel=1e-12)
+        assert P.h1_distance(full.field, limit_state.field) <= 1e-8
 
     def test_cold_start_agrees_with_warm_start(self, grid, make_params, sweep_field):
         pp = make_params(c=4.0)
@@ -202,18 +217,43 @@ class TestMemory:
     #: measured peaks (2D, 3D) of the steps a sweep runs on each state after its
     #: solve loop; each is gated at its measured value plus MARGIN.  Before they
     #: worked in place the same steps measured 4.15 / 4.22 (energy), 5.35 / 6.03
-    #: (make_record) and 4.34 / 5.00 (radial_scatter).  radial_scatter's 2D figure
-    #: holds two bin tables of 2 (N/2)^2 + 1 entries, 0.5 field each.
-    MEASURED = {"energy": (3.00, 3.00), "make_record": (3.02, 3.06),
+    #: (make_record) and 4.34 / 5.00 (radial_scatter); energy measured 3.00 / 3.00
+    #: while odd_power allocated its sign.  radial_scatter's 2D figure holds two bin
+    #: tables of 2 (N/2)^2 + 1 entries, 0.5 field each.
+    MEASURED = {"energy": (2.77, 2.67), "make_record": (3.02, 3.06),
                 "radial_scatter": (2.34, 1.08)}
+    #: measured loop peaks (2D, 3D) of a cold start, whose Gaussian is mirror-even,
+    #: so the loop runs on the even layout: in 2D its transforms' temporaries set
+    #: the peak, in 3D the Gaussian start and the mirrored state
+    EVEN_LOOP = (3.81, 2.05)
     MARGIN = 0.25
 
     @staticmethod
     def setting(n, N, c=math.inf):
         return P.PhysParams(m=1.0, mu=1.0, c=c, p=3.0 if n == 2 else 2.5, n=n), P.make_grid(n, 32.0, N)
 
+    def loop_peaks(self, n, N, init, monkeypatch):
+        """Peaks of a 5- and a 60-iteration solve from init (None: the cold start),
+        each read as the loop hands its state to _finalize: the Fourier shift that
+        centers an off-center state is _finalize's, not the loop's."""
+        pp, g = self.setting(n, N)
+        at_handoff = []
+        finalize = solver._finalize
+
+        def probe(*args):
+            at_handoff.append(tracemalloc.get_traced_memory()[1] / (8 * g.N**g.n))
+            return finalize(*args)
+
+        monkeypatch.setattr(solver, "_finalize", probe)
+        for max_iter in (5, 60):
+            cfg = SolverConfig(tol_residual=1e-14, max_iter=max_iter, init_field=init)
+            gs, _ = peak_fields(g, P.solve_ground_state, pp, g, cfg)
+            assert gs.iterations == max_iter  # the tolerance is out of reach
+        return at_handoff
+
     @pytest.mark.parametrize("n, N", [(2, 256), (3, 64)])
-    def test_peak_is_flat_in_iterations_and_bounded(self, n, N):
+    def test_peak_is_flat_in_iterations_and_bounded(self, n, N, monkeypatch):
+        # The full-box loop, from a Gaussian rolled one cell off the mirror symmetry.
         # Measured: 5.28 (2D) and 5.22 (3D) with the cold start's Gaussian dropped
         # after the projection and energy's residual formed in place; 6.66 and 6.74
         # before; 7.66 and 7.74 with four tables alive through the loop; 7.16 and
@@ -221,17 +261,19 @@ class TestMemory:
         # transform allocated a complex temporary per leading axis, 11.6 before the
         # loop ran on work buffers, and 11.1 when the buffers stay alive through
         # _finalize.
-        pp, g = self.setting(n, N)
-
-        def solve_peak(max_iter):
-            cfg = SolverConfig(tol_residual=1e-14, max_iter=max_iter)  # runs all max_iter
-            gs, peak = peak_fields(g, P.solve_ground_state, pp, g, cfg)
-            assert gs.iterations == max_iter
-            return peak
-
-        short, long = solve_peak(5), solve_peak(60)
+        g = self.setting(n, N)[1]
+        rolled = P.RealField(g, np.roll(P.gaussian_field(g, 2.0).values, 1, axis=0))
+        short, long = self.loop_peaks(n, N, rolled, monkeypatch)
         assert long == pytest.approx(short, abs=0.05)
         assert long <= 6.0
+
+    @pytest.mark.parametrize("n, N", [(2, 256), (3, 64)])
+    def test_even_loop_peak(self, n, N, monkeypatch):
+        # the full-box loop measures 5.28 / 5.22 above, so this gate also shows that
+        # a cold start's loop ran on the even layout
+        short, long = self.loop_peaks(n, N, None, monkeypatch)
+        assert long == pytest.approx(short, abs=0.05)
+        assert long <= self.EVEN_LOOP[n - 2] + self.MARGIN
 
     @pytest.mark.parametrize("step", sorted(MEASURED))
     @pytest.mark.parametrize("n, N", [(2, 256), (3, 64)])
