@@ -67,11 +67,11 @@ class Grid:
     xi_sq holds |xi|^2 on the half spectrum of real-to-complex transforms
     (spectral_shape).  Grids compare and hash by (n, L, N, even).
 
-    even is the solve loop's layout of a field mirror-even about the center
-    (fold_even): N/2 + 1 samples per axis at offsets 0..N/2, a real spectrum at
-    xi = 2 pi k / L, k = 0..N/2, and mirror_weight, (1, 2, ..., 2, 1) per axis
-    multiplied out, the box points each entry stands for.  The transforms, sums
-    and symbol tables follow it; coordinates, norm_l2 and energy are full-box only.
+    even is the solve loop's layout of a field mirror-even about the center (fold_even):
+    N/2 + 1 samples per axis at offsets 0..N/2, a real spectrum at xi = 2 pi k / L, k = 0..N/2,
+    mirror_weight, w = (1, 2, ..., 2, 1) per axis multiplied out (the box points each entry
+    stands for), and cosine_matrix, one axis's DCT-I C[k, j] = w_j cos(pi jk / (N/2)), C C = N I.
+    The transforms, sums and symbol tables follow it; coordinates, norm_l2 and energy are full-box.
     """
 
     n: int
@@ -80,7 +80,8 @@ class Grid:
     even: bool = False
     h: float = field(init=False, repr=False, compare=False)
     xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
-    mirror_weight: np.ndarray | None = field(init=False, repr=False, compare=False)
+    mirror_weight: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    cosine_matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n not in (2, 3):
@@ -94,9 +95,11 @@ class Grid:
         half = TWO_PI * np.fft.rfftfreq(self.N, d=self.h)
         axes = [half] * self.n if self.even else [freqs] * (self.n - 1) + [half]
         object.__setattr__(self, "xi_sq", sum_of_squares(axes))
-        edge = np.r_[1.0, np.full(self.N // 2 - 1, 2.0), 1.0]
-        object.__setattr__(self, "mirror_weight",
-                           reduce(np.multiply.outer, [edge] * self.n) if self.even else None)
+        if self.even:
+            edge = np.r_[1.0, np.full(self.N // 2 - 1, 2.0), 1.0]
+            jk = np.outer(*[np.arange(self.N // 2 + 1)] * 2) % self.N  # cos's argument < 2 pi
+            object.__setattr__(self, "mirror_weight", reduce(np.multiply.outer, [edge] * self.n))
+            object.__setattr__(self, "cosine_matrix", edge * np.cos(TWO_PI / self.N * jk))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -196,9 +199,8 @@ def to_spectral(f: RealField, out: np.ndarray | None = None) -> SpectralField:
 
     holds exactly (up to roundoff).  out, an array of spectral_shape, receives
     the coefficients in place of a new array."""
-    if f.grid.even:
-        return SpectralField(f.grid, np.multiply(_dct1(f.values), f.grid.fourier_scale, out=out))
-    coeffs = np.fft.rfftn(f.values, out=out)
+    coeffs = (_dct1(f.values, f.grid.cosine_matrix, out) if f.grid.even
+              else np.fft.rfftn(f.values, out=out))
     coeffs *= f.grid.fourier_scale
     return SpectralField(f.grid, coeffs)
 
@@ -214,9 +216,10 @@ def to_physical(F: SpectralField, out: np.ndarray | None = None,
     and the last axis by irfft into out: the same steps irfftn takes, so the same
     bits, without its complex temporary per leading axis."""
     grid = F.grid
-    if grid.even:  # the DCT-I is its own inverse up to N per axis
-        scale = grid.fourier_scale * grid.N**grid.n
-        return RealField(grid, np.divide(_dct1(F.coeffs), scale, out=out))
+    if grid.even:  # C C = N I: the DCT-I is its own inverse up to N per axis
+        values = _dct1(F.coeffs, grid.cosine_matrix, out)
+        values /= grid.fourier_scale * grid.N**grid.n
+        return RealField(grid, values)
     if work is None:
         work = np.empty(grid.spectral_shape, dtype=np.complex128)
     src = F.coeffs
@@ -228,11 +231,14 @@ def to_physical(F: SpectralField, out: np.ndarray | None = None,
     return RealField(grid, values)
 
 
-def _dct1(x: np.ndarray) -> np.ndarray:
-    """DCT-I along every axis: the DFT of the mirror-even extension of x's N/2 + 1
-    samples per axis, at its N/2 + 1 nonnegative frequencies (hfft of real input)."""
-    for axis, size in enumerate(x.shape):
-        x = np.fft.hfft(x, n=2 * size - 2, axis=axis)[(slice(None),) * axis + (slice(size),)]
+def _dct1(x: np.ndarray, C: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """DCT-I on every axis: one GEMM with the grid's cosine_matrix C per axis, the last into out.
+    OpenBLAS threads a 2D axis's 129-square GEMM at N = 256, whose last bits then vary with
+    the thread count; the stacked 3D products are too small to be threaded."""
+    for axis in range(x.ndim):
+        y = out if axis == x.ndim - 1 and out is not None else np.empty_like(x)
+        core = (axis, -1 if axis < x.ndim - 1 else -2)  # GEMM rows: that axis; columns: another
+        x = np.matmul(C, x, out=y, axes=[(0, 1), core, core])
     return x
 
 

@@ -70,8 +70,8 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.gamma is not None and not self.gamma > 1.0:
             raise ValueError("gamma must exceed 1")
-        if not self.init_width > 0.0:
-            raise ValueError("init_width must be positive")
+        if not (self.init_width > 0.0 and math.isfinite(self.init_width)):
+            raise ValueError("init_width must be positive and finite")
         if not self.fallback_step > 0.0:
             raise ValueError("fallback_step must be positive")
 
@@ -102,12 +102,11 @@ def center(f: RealField) -> RealField:
     """Fourier-shift the field so the periodic centroid of (u_+)^2 lands at the box center.
 
     Each axis's centroid is the circular mean of the marginal of (u_+)^2, so a
-    state straddling the periodic seam needs no integer roll first; one phase
-    multiply moves it with spectral accuracy (the Nyquist row is left unshifted).
-    An axis whose marginal has no first moment has no centroid and is not shifted.
+    state straddling the periodic seam needs no integer roll first; a 1-D phase per axis,
+    multiplied into the half spectrum in place, moves it with spectral accuracy (the Nyquist
+    row is left unshifted).  An axis whose marginal has no first moment is not shifted.
     """
-    w = np.maximum(f.values, 0.0)
-    w *= w
+    w = np.square(np.maximum(f.values, 0.0))
     k = TWO_PI / f.grid.L
     wave = np.exp(1j * k * (f.grid.axis_coordinates() - f.grid.center_coordinate))
     deltas = []  # center minus centroid, in [-L/2, L/2)
@@ -118,10 +117,11 @@ def center(f: RealField) -> RealField:
         deltas.append(0.0 if no_moment else -float(np.angle(moment)) / k)
     if max(abs(d) for d in deltas) < 1e-14:
         return f
-    phase = np.ones(f.grid.spectral_shape, dtype=np.complex128)
+    del w  # the shift holds only the half spectrum and the shifted samples
+    F = to_spectral(f).coeffs
     for axis, d in enumerate(deltas):
-        phase = phase * np.exp(-1j * d * derivative_freqs(f.grid, axis))
-    return to_physical(SpectralField(f.grid, phase * to_spectral(f).coeffs))
+        F *= np.exp(-1j * d * derivative_freqs(f.grid, axis))
+    return to_physical(SpectralField(f.grid, F), work=F)
 
 
 def radial_scatter(f: RealField) -> float:
@@ -226,7 +226,6 @@ def solve_ground_state(params: PhysParams, grid: Grid,
             raise BlowUpError("iterate became non-finite")
         to_physical(SpectralField(layout, U), out=u, work=NL)  # NL is refilled next pass
     del U, nl, NL, sqrt_D, inv_D
-    if layout.even:
-        u = unfold_even(RealField(layout, u)).values
+    u = unfold_even(RealField(layout, u)).values if layout.even else u
     del layout  # the even grid's tables
     return _finalize(u, grid, params, cfg, it, reason)

@@ -1,9 +1,13 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import prnls
 from prnls.cli import main
 
 
@@ -21,6 +25,20 @@ def test_solve_command(tiny_config, tmp_path, capsys):
     assert "residual" in out and "[ok]" in out
     assert (tmp_path / "out" / "state_c4.f64").exists()
     assert (tmp_path / "out" / "state_c4.json").exists()
+
+
+def test_solve_output_does_not_depend_on_blas_threads(tmp_path):
+    # the even layout's transforms are GEMMs; a threaded one changes only last bits
+    src = os.path.dirname(os.path.dirname(prnls.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-m", "prnls.cli", "solve", "--c", "inf"],
+                             cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert "iterations = " in outputs[0] and outputs[0].count("[ok]") == 5
+    assert outputs[1] == outputs[0]
 
 
 def test_invalid_c_reports_error(tiny_config, capsys):
@@ -134,12 +152,12 @@ def test_extension_check_rejects_overflowing_c(tmp_path, capsys, schedule):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("width", [-1.0, math.nan])
+@pytest.mark.parametrize("width", [-1.0, math.nan, math.inf])
 def test_init_width_validated(tmp_path, capsys, width):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"solver": {"init_width": width}}))
+    path.write_text(json.dumps({"solver": {"init_width": width}}))  # JSON Infinity for inf
     assert main(["solve", "--c", "4", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == "error: init_width must be positive\n"
+    assert capsys.readouterr().err == "error: init_width must be positive and finite\n"
 
 
 def test_sweep_command(tiny_config, tmp_path, capsys):

@@ -252,6 +252,38 @@ def reflection(v):
     return np.roll(np.flip(v, axes), 1, axes)
 
 
+def dct1_hfft(x):
+    """Reference DCT-I: the DFT of the mirror-even extension of x's N/2 + 1 samples per
+    axis at its N/2 + 1 nonnegative frequencies, by a length-N hfft of each axis in turn,
+    independent of the cosine-matrix products the package computes it with."""
+    for axis, size in enumerate(x.shape):
+        x = np.fft.hfft(x, n=2 * size - 2, axis=axis)[(slice(None),) * axis + (slice(size),)]
+    return x
+
+
+class TestCosineTransform:
+    """The even layout's transforms, one cosine-matrix product per axis."""
+
+    def test_matrix_is_its_own_inverse_up_to_N(self):
+        assert P.make_grid(2, 16.0, 64).cosine_matrix is None
+        C = dataclasses.replace(P.make_grid(2, 16.0, 64), even=True).cosine_matrix
+        assert C.shape == (33, 33)
+        np.testing.assert_allclose(C @ C, 64.0 * np.eye(33), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, N", [(2, 16), (2, 256), (3, 16), (3, 64), (3, 128)])
+    def test_agrees_with_the_hfft_reference_and_round_trips(self, n, N):
+        g = dataclasses.replace(P.make_grid(n, 16.0, N), even=True)
+        f = P.RealField(g, np.random.default_rng(900 + N).standard_normal(g.shape))
+        spectrum, samples = np.empty(g.spectral_shape), np.empty(g.shape)
+        assert P.to_spectral(f, out=spectrum).coeffs is spectrum
+        expect = g.fourier_scale * dct1_hfft(f.values)
+        assert np.max(np.abs(spectrum - expect)) <= 1e-13 * np.max(np.abs(expect))
+        assert P.to_physical(P.SpectralField(g, spectrum), out=samples).values is samples
+        expect = dct1_hfft(spectrum) / (g.fourier_scale * g.N**g.n)
+        assert np.max(np.abs(samples - expect)) <= 1e-13 * np.max(np.abs(expect))
+        assert np.max(np.abs(samples - f.values)) <= 1e-13 * np.max(np.abs(f.values))
+
+
 class TestEvenLayout:
     """The solve loop's mirror-even layout against the full box it stands for."""
 

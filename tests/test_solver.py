@@ -219,23 +219,26 @@ class TestMemory:
     #: worked in place the same steps measured 4.15 / 4.22 (energy), 5.35 / 6.03
     #: (make_record) and 4.34 / 5.00 (radial_scatter); energy measured 3.00 / 3.00
     #: while odd_power allocated its sign.  radial_scatter's 2D figure holds two bin
-    #: tables of 2 (N/2)^2 + 1 entries, 0.5 field each.
+    #: tables of 2 (N/2)^2 + 1 entries, 0.5 field each.  center, the Fourier shift
+    #: of an off-center state, measured 5.17 / 5.22 while it built a full-size phase
+    #: table and multiplied out of place.
     MEASURED = {"energy": (2.77, 2.67), "make_record": (3.02, 3.06),
-                "radial_scatter": (2.34, 1.08)}
+                "radial_scatter": (2.34, 1.08), "center": (2.15, 2.16)}
     #: measured loop peaks (2D, 3D) of a cold start, whose Gaussian is mirror-even,
-    #: so the loop runs on the even layout: in 2D its transforms' temporaries set
-    #: the peak, in 3D the Gaussian start and the mirrored state
-    EVEN_LOOP = (3.81, 2.05)
+    #: so the loop runs on the even layout: the peak is set as the state is mirrored
+    #: back to the full box in 2D (the loop itself peaks at 2.55) and by the Gaussian
+    #: start and the mirrored state in 3D.  With hfft transforms, which copied and
+    #: padded their input, the loop set 2D's peak at 3.81.
+    EVEN_LOOP = (2.79, 2.06)
     MARGIN = 0.25
 
     @staticmethod
     def setting(n, N, c=math.inf):
         return P.PhysParams(m=1.0, mu=1.0, c=c, p=3.0 if n == 2 else 2.5, n=n), P.make_grid(n, 32.0, N)
 
-    def loop_peaks(self, n, N, init, monkeypatch):
-        """Peaks of a 5- and a 60-iteration solve from init (None: the cold start),
-        each read as the loop hands its state to _finalize: the Fourier shift that
-        centers an off-center state is _finalize's, not the loop's."""
+    def loop_peaks(self, n, N, monkeypatch):
+        """Peaks of a 5- and a 60-iteration cold start, each read as the loop hands
+        its state to _finalize, whose energy sets a whole solve's peak."""
         pp, g = self.setting(n, N)
         at_handoff = []
         finalize = solver._finalize
@@ -246,24 +249,33 @@ class TestMemory:
 
         monkeypatch.setattr(solver, "_finalize", probe)
         for max_iter in (5, 60):
-            cfg = SolverConfig(tol_residual=1e-14, max_iter=max_iter, init_field=init)
+            cfg = SolverConfig(tol_residual=1e-14, max_iter=max_iter)
             gs, _ = peak_fields(g, P.solve_ground_state, pp, g, cfg)
             assert gs.iterations == max_iter  # the tolerance is out of reach
         return at_handoff
 
     @pytest.mark.parametrize("n, N", [(2, 256), (3, 64)])
-    def test_peak_is_flat_in_iterations_and_bounded(self, n, N, monkeypatch):
-        # The full-box loop, from a Gaussian rolled one cell off the mirror symmetry.
-        # Measured: 5.28 (2D) and 5.22 (3D) with the cold start's Gaussian dropped
-        # after the projection and energy's residual formed in place; 6.66 and 6.74
-        # before; 7.66 and 7.74 with four tables alive through the loop; 7.16 and
-        # 7.22 while the caller built the table; 7.0 and 8.2 while the inverse
-        # transform allocated a complex temporary per leading axis, 11.6 before the
-        # loop ran on work buffers, and 11.1 when the buffers stay alive through
-        # _finalize.
-        g = self.setting(n, N)[1]
+    def test_peak_is_flat_in_iterations_and_bounded(self, n, N):
+        # A whole solve on the full box, _finalize included, from a Gaussian rolled
+        # one cell off the mirror symmetry, so that the loop runs on the full box and
+        # _finalize shifts the state back to the center.  Measured: 5.28 (2D) and
+        # 5.22 (3D), set in the loop, with center shifting in place; 6.17 and 6.22,
+        # set in center, while it built a full-size phase table; the loop alone
+        # measured 6.66 and 6.74 before the cold start's Gaussian was dropped after
+        # the projection and energy's residual formed in place; 7.66 and 7.74 with
+        # four tables alive through the loop; 7.16 and 7.22 while the caller built
+        # the table; 7.0 and 8.2 while the inverse transform allocated a complex
+        # temporary per leading axis, 11.6 before the loop ran on work buffers, and
+        # 11.1 when the buffers stay alive through _finalize.
+        pp, g = self.setting(n, N)
         rolled = P.RealField(g, np.roll(P.gaussian_field(g, 2.0).values, 1, axis=0))
-        short, long = self.loop_peaks(n, N, rolled, monkeypatch)
+        peaks = []
+        for max_iter in (5, 60):
+            cfg = SolverConfig(tol_residual=1e-14, max_iter=max_iter, init_field=rolled)
+            gs, peak = peak_fields(g, P.solve_ground_state, pp, g, cfg)
+            assert gs.iterations == max_iter  # the tolerance is out of reach
+            peaks.append(peak)
+        short, long = peaks
         assert long == pytest.approx(short, abs=0.05)
         assert long <= 6.0
 
@@ -271,7 +283,7 @@ class TestMemory:
     def test_even_loop_peak(self, n, N, monkeypatch):
         # the full-box loop measures 5.28 / 5.22 above, so this gate also shows that
         # a cold start's loop ran on the even layout
-        short, long = self.loop_peaks(n, N, None, monkeypatch)
+        short, long = self.loop_peaks(n, N, monkeypatch)
         assert long == pytest.approx(short, abs=0.05)
         assert long <= self.EVEN_LOOP[n - 2] + self.MARGIN
 
@@ -284,9 +296,11 @@ class TestMemory:
         gs = P.GroundState(field=u, report=P.energy(u, M, pp), iterations=0,
                            converged=False, params=pp)
         reference = P.gaussian_field(g, 2.5)
+        off_center = P.RealField(g, np.roll(u.values, 1, axis=0))
         calls = {"energy": (P.energy, u, M, pp),
                  "make_record": (make_record, pp.c, gs, reference),
-                 "radial_scatter": (P.radial_scatter, u)}
+                 "radial_scatter": (P.radial_scatter, u),
+                 "center": (P.center, off_center)}
         _, peak = peak_fields(g, *calls[step])
         assert peak <= self.MEASURED[step][n - 2] + self.MARGIN
 
@@ -422,6 +436,8 @@ class TestConfig:
             SolverConfig(fallback_step=0.0)
         with pytest.raises(ValueError, match="integer"):
             SolverConfig(max_iter=2.5)
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(init_width=math.inf)  # an infinitely wide Gaussian is the constant 1
 
     def test_integral_float_max_iter_accepted(self):
         cfg = SolverConfig(max_iter=5.0)
