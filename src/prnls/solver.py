@@ -102,16 +102,16 @@ def center(f: RealField) -> RealField:
     """Fourier-shift the field so the periodic centroid of (u_+)^2 lands at the box center.
 
     Each axis's centroid is the circular mean of the marginal of (u_+)^2, so a
-    state straddling the periodic seam needs no integer roll first; a 1-D phase per axis,
-    multiplied into the half spectrum in place, moves it with spectral accuracy (the Nyquist
-    row is left unshifted).  An axis whose marginal has no first moment is not shifted.
+    state straddling the periodic seam needs no integer roll first; a 1-D phase per
+    axis, multiplied in place, moves it with spectral accuracy (the Nyquist row is
+    left unshifted).  An axis whose marginal has no first moment is not shifted.
     """
-    w = np.square(np.maximum(f.values, 0.0))
+    w = np.maximum(f.values, 0.0)  # the marginals sum w * w without forming it
     k = TWO_PI / f.grid.L
     wave = np.exp(1j * k * (f.grid.axis_coordinates() - f.grid.center_coordinate))
     deltas = []  # center minus centroid, in [-L/2, L/2)
     for axis in range(f.grid.n):
-        marginal = np.sum(w, axis=tuple(a for a in range(f.grid.n) if a != axis))
+        marginal = np.einsum(w, range(f.grid.n), w, range(f.grid.n), [axis])
         moment = marginal @ wave
         no_moment = abs(moment) <= 1e-12 * marginal.sum()
         deltas.append(0.0 if no_moment else -float(np.angle(moment)) / k)
@@ -177,10 +177,11 @@ def solve_ground_state(params: PhysParams, grid: Grid,
     is within half the tolerance, or after max_iter steps, or when the pairing
     <u_+^{p-1}, u> is not positive (that failed step still counts).  The buffers
     are released before the state is finalized.  Deterministic for a fixed
-    configuration.  Raises BlowUpError when the iterate's norm passes 1e12 (checked
-    first in each pass, before the power can overflow) or it becomes non-finite;
-    plain non-convergence is returned as converged=False with the last iterate
-    and its stop_reason.
+    configuration and BLAS thread count (OpenBLAS threads the even transform's GEMM
+    in 2D at N = 256).  Raises BlowUpError when the iterate's norm passes 1e12
+    (checked first in each pass, before the power can overflow) or it becomes
+    non-finite; plain non-convergence is returned as converged=False with the last
+    iterate and its stop_reason.
     """
     cfg = cfg or SolverConfig()
     gamma = cfg.resolved_gamma(params.p)
@@ -226,6 +227,7 @@ def solve_ground_state(params: PhysParams, grid: Grid,
             raise BlowUpError("iterate became non-finite")
         to_physical(SpectralField(layout, U), out=u, work=NL)  # NL is refilled next pass
     del U, nl, NL, sqrt_D, inv_D
-    u = unfold_even(RealField(layout, u)).values if layout.even else u
+    if layout.even:
+        u = unfold_even(RealField(layout, u)).values
     del layout  # the even grid's tables
     return _finalize(u, grid, params, cfg, it, reason)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import prnls
@@ -27,6 +28,8 @@ def test_solve_command(tiny_config, tmp_path, capsys):
     assert (tmp_path / "out" / "state_c4.json").exists()
 
 
+@pytest.mark.skipif("openblas" not in np.show_config(mode="dicts")["Build Dependencies"]
+                    ["blas"]["name"].lower(), reason="OPENBLAS_NUM_THREADS needs OpenBLAS")
 def test_solve_output_does_not_depend_on_blas_threads(tmp_path):
     # the even layout's transforms are GEMMs; a threaded one changes only last bits
     src = os.path.dirname(os.path.dirname(prnls.__file__))

@@ -282,6 +282,9 @@ class TestCosineTransform:
         expect = dct1_hfft(spectrum) / (g.fourier_scale * g.N**g.n)
         assert np.max(np.abs(samples - expect)) <= 1e-13 * np.max(np.abs(expect))
         assert np.max(np.abs(samples - f.values)) <= 1e-13 * np.max(np.abs(f.values))
+        for work in (np.empty(g.spectral_shape), np.empty(g.spectral_shape, complex)):
+            via_work = P.to_physical(P.SpectralField(g, spectrum), work=work).values
+            np.testing.assert_array_equal(via_work, samples)  # the partial products' buffer
 
 
 class TestEvenLayout:
