@@ -69,10 +69,10 @@ class Grid:
 
     even is the solve loop's layout of a field mirror-even about the center
     (fold_even): N/2 + 1 samples per axis at offsets 0..N/2, a real spectrum at
-    xi = 2 pi k / L, k = 0..N/2, mirror_weight, w = (1, 2, ..., 2, 1) per axis
-    multiplied out, the box points each entry stands for, and cosine_matrix, one
-    axis's DCT-I, C[k, j] = w_j cos(pi jk / (N/2)), with C C = N I.  The transforms,
-    sums and symbol tables follow it; coordinates, norm_l2 and energy are full-box only.
+    xi = 2 pi k / L, k = 0..N/2, mirror_weight, w = (1, 2, ..., 2, 1) per axis multiplied
+    out, the box points each entry stands for, and cosine_matrix, one axis's DCT-I,
+    C[k, j] = w_j cos(pi jk / (N/2)), with C C = N I.  The transforms, sums and symbol
+    tables follow it; coordinates, center, radial_scatter and boundary_max_ratio do not.
     """
 
     n: int
@@ -196,7 +196,7 @@ class SpectralField:
 def to_spectral(f: RealField, out: np.ndarray | None = None) -> SpectralField:
     """Forward real-to-complex transform, normalized so that the discrete Parseval identity
 
-        h^n * sum(f^2) == weighted_power(to_spectral(f))
+        norm_l2(f)**2 == weighted_power(to_spectral(f))
 
     holds exactly (up to roundoff).  out, an array of spectral_shape, receives
     the coefficients in place of a new array."""
@@ -261,15 +261,14 @@ def fold_even(f: RealField) -> RealField | None:
     return RealField(replace(f.grid, even=True), v[(slice(half, None, -1),) * f.grid.n].copy())
 
 
-def unfold_even(f: RealField) -> RealField:
-    """The full-box field that f, on an even layout, holds the nonnegative offsets of."""
-    grid = replace(f.grid, even=False)
+def unfold_even(f: RealField, grid: Grid) -> RealField:
+    """The field on grid, the full box of f's even layout, whose nonnegative offsets f holds."""
     offset = np.abs(np.arange(grid.N) - grid.N // 2)
     return RealField(grid, f.values[np.ix_(*[offset] * grid.n)])
 
 
 def norm_l2(f: RealField) -> float:
-    return float(np.sqrt(f.grid.cell_volume * np.sum(f.values * f.values)))
+    return math.sqrt(sample_dot(f.grid, f.values, f.values))
 
 
 def _re_dot(a: np.ndarray, b: np.ndarray) -> np.float64:
@@ -283,7 +282,8 @@ def _re_dot(a: np.ndarray, b: np.ndarray) -> np.float64:
 
 
 def sample_dot(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.float64:
-    """h^n * sum over the box of a * b, for samples a and b in grid's layout."""
+    """h^n * sum over the box of a * b, for samples a and b in grid's layout: every
+    physical-space integral, as weighted_power is every spectral one."""
     return grid.cell_volume * _re_dot(grid.mirror_weight * a if grid.even else a, b)
 
 

@@ -153,10 +153,10 @@ def h1_distance(f: RealField, g: RealField) -> float:
     return norm_h1(to_spectral(RealField(f.grid, f.values - g.values)))
 
 
-def _finalize(values: np.ndarray, grid: Grid, params: PhysParams, cfg: SolverConfig,
-              iterations: int, stop_reason: str) -> GroundState:
-    f = center(RealField(grid, values))
-    report = energy(f, relativistic_multiplier(grid, params), params)
+def _finalize(f: RealField, params: PhysParams, cfg: SolverConfig, iterations: int,
+              stop_reason: str) -> GroundState:
+    f = center(f)
+    report = energy(f, relativistic_multiplier(f.grid, params), params)
     converged = stop_reason == "converged" and report.residual <= cfg.tol_residual
     if converged:
         warn_if_poorly_truncated(f)
@@ -227,7 +227,6 @@ def solve_ground_state(params: PhysParams, grid: Grid,
             raise BlowUpError("iterate became non-finite")
         to_physical(SpectralField(layout, U), out=u, work=NL)  # NL is refilled next pass
     del U, nl, NL, sqrt_D, inv_D
-    if layout.even:
-        u = unfold_even(RealField(layout, u)).values
-    del layout  # the even grid's tables
-    return _finalize(u, grid, params, cfg, it, reason)
+    f = unfold_even(RealField(layout, u), grid) if layout.even else RealField(grid, u)
+    del layout, u  # the even grid's tables and samples
+    return _finalize(f, params, cfg, it, reason)

@@ -21,6 +21,7 @@ from .model import (
     RealField,
     SpectralField,
     norm_l2,
+    sample_dot,
     to_physical,
     to_spectral,
     weighted_power,
@@ -41,13 +42,11 @@ class EnergyReport:
 
 
 def _pos_pow(base: np.ndarray, q: float) -> np.ndarray:
-    # raises base >= 0, an array the caller owns, to q in place; small integer
-    # exponents dominate in practice
+    # raises base >= 0, an array the caller owns, to q = p - 1 in (1, 3) in place;
+    # p = 3, the paper's case, squares
     if q == 2.0:
         np.multiply(base, base, out=base)
-    elif q == 3.0:
-        np.multiply(base * base, base, out=base)
-    elif q != 1.0:
+    else:
         np.power(base, q, out=base)
     return base
 
@@ -67,10 +66,8 @@ def clamped_power(values: np.ndarray, p: float, out: np.ndarray | None = None) -
 
 
 def lp_integral(u: RealField, p: float) -> float:
-    power = _pos_pow(np.abs(u.values), p)
-    if u.grid.even:
-        power *= u.grid.mirror_weight
-    return float(u.grid.cell_volume * np.sum(power))
+    """||u||_p^p as the pairing <|u|^{p-2} u, u>."""
+    return float(sample_dot(u.grid, odd_power(u.values, p), u.values))
 
 
 def quadratic_form(u: RealField | SpectralField, M: Multiplier, params: PhysParams) -> float:
@@ -97,8 +94,7 @@ def energy(u: RealField, M: Multiplier, params: PhysParams) -> EnergyReport:
         r = to_physical(F, work=F.coeffs).values  # F's buffer takes the partial transforms
         del D, F
         r -= odd_power(u.values, params.p)
-        r *= r
-        res = float(np.sqrt(u.grid.cell_volume * np.sum(r))) / scale
+        res = float(np.sqrt(sample_dot(u.grid, r, r))) / scale
     gap = abs(I - (0.5 - 1.0 / params.p) * lp)
     return EnergyReport(Q=Q, lp=lp, I=I, J=J, residual=res, identity_gap=gap)
 

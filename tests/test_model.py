@@ -297,7 +297,7 @@ class TestEvenLayout:
         g = P.make_grid(n, 16.0, 64 if n == 2 else 32)
         half = dataclasses.replace(g, even=True)
         rng = np.random.default_rng(800 + n)
-        return unfold_even(P.RealField(half, rng.standard_normal(half.shape)))
+        return unfold_even(P.RealField(half, rng.standard_normal(half.shape)), g)
 
     @pytest.mark.parametrize("n, N", [(2, 64), (3, 32)])
     def test_gaussian_is_exactly_mirror_even_for_any_L(self, n, N):
@@ -319,7 +319,7 @@ class TestEvenLayout:
         folded = fold_even(even_noise)
         g = even_noise.grid
         assert folded.grid.even and folded.grid != g and folded.grid.shape == (g.N // 2 + 1,) * g.n
-        back = unfold_even(folded)
+        back = unfold_even(folded, g)
         assert back.grid == g and np.array_equal(back.values, even_noise.values)
 
     def test_symbol_table_is_the_full_table_at_nonnegative_frequencies(self, even_noise):
@@ -339,6 +339,7 @@ class TestEvenLayout:
         v = even_noise.values
         assert (sample_dot(folded.grid, folded.values, folded.values)
                 == pytest.approx(g.cell_volume * np.sum(v * v), rel=1e-13))
+        assert P.norm_l2(folded) == pytest.approx(P.norm_l2(even_noise), rel=1e-13)
         assert sample_dot(g, v, v) == g.cell_volume * np.einsum("i,i->", v.ravel(), v.ravel())
 
     def test_coefficients_are_the_full_ones_about_the_center(self, even_noise):

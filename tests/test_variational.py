@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import prnls as P
+from prnls.model import fold_even, sample_dot
 from prnls.variational import lp_integral, quadratic_form
 
 
@@ -62,11 +63,12 @@ class TestEnergy:
 
     def test_residual_matches_allocating_formula(self, grid, limit_mult, params_inf):
         # energy forms the residual in place; the bits are those of the plain formula
+        # summed by the package's one physical-space sum
         f = random_bump(grid, 9)
         D = limit_mult.table + params_inf.mu
         lhs = P.to_physical(P.SpectralField(grid, D * P.to_spectral(f).coeffs)).values
         r = lhs - np.sign(f.values) * np.abs(f.values) ** 2.0
-        expect = float(np.sqrt(grid.cell_volume * np.sum(r * r))) / P.norm_l2(f)
+        expect = float(np.sqrt(sample_dot(grid, r, r))) / P.norm_l2(f)
         assert P.energy(f, limit_mult, params_inf).residual == expect
 
     def test_grid_mismatch_rejected(self, limit_mult, params_inf):
@@ -121,6 +123,32 @@ class TestResidual:
 
     def test_converged_state_below_tolerance(self, limit_state):
         assert limit_state.report.residual <= 1e-9
+
+
+class TestEvenLayout:
+    """Every sum of energy, norm_l2 and lp_integral on a folded state against the full box."""
+
+    @pytest.fixture(params=[2, 3], ids=["2d", "3d"])
+    def state_c4(self, request, sweep_field):
+        if request.param == 2:
+            return sweep_field(4.0), P.PhysParams(m=1.0, mu=1.0, c=4.0, p=3.0, n=2)
+        pp = P.PhysParams(m=1.0, mu=1.0, c=4.0, p=2.5, n=3)
+        with pytest.warns(P.model.BoundaryDecayWarning):  # a small box suffices for the sums
+            return P.solve_ground_state(pp, P.make_grid(3, 16.0, 32)).field, pp
+
+    def test_sums_match_the_full_box(self, state_c4):
+        full, pp = state_c4
+        folded = fold_even(full)
+        assert folded is not None and folded.grid.even
+        assert P.norm_l2(folded) == pytest.approx(P.norm_l2(full), rel=1e-13)
+        assert lp_integral(folded, pp.p) == pytest.approx(lp_integral(full, pp.p), rel=1e-13)
+        want = P.energy(full, P.relativistic_multiplier(full.grid, pp), pp)
+        got = P.energy(folded, P.relativistic_multiplier(folded.grid, pp), pp)
+        for name in ("Q", "lp", "I"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-13), name
+        assert abs(got.J - want.J) <= 1e-13 * want.Q  # J = Q - lp is round-off here
+        assert want.residual <= 1e-9
+        assert got.residual == pytest.approx(want.residual, rel=0, abs=1e-15)
 
 
 def nehari_level(f, M, params):
