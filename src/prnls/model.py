@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -71,8 +71,8 @@ class Grid:
     (fold_even): N/2 + 1 samples per axis at offsets 0..N/2, a real spectrum at
     xi = 2 pi k / L, k = 0..N/2, mirror_weight, w = (1, 2, ..., 2, 1) per axis multiplied
     out, the box points each entry stands for, and cosine_matrix, one axis's DCT-I,
-    C[k, j] = w_j cos(pi jk / (N/2)), with C C = N I.  The transforms, sums and symbol
-    tables follow it; coordinates, center, radial_scatter and boundary_max_ratio do not.
+    C[k, j] = w_j cos(pi jk / (N/2)), with C C = N I.  The transforms, sums, symbol
+    tables and radial_scatter follow it; coordinates, center and boundary_max_ratio do not.
     """
 
     n: int
@@ -250,6 +250,10 @@ def _dct1(x: np.ndarray, C: np.ndarray, out: np.ndarray | None = None,
     return x
 
 
+#: even_layout(n, L, N), the even layout of that box, built once and shared by every fold
+even_layout = lru_cache(maxsize=4)(partial(Grid, even=True))
+
+
 def fold_even(f: RealField) -> RealField | None:
     """f on the even layout of its grid, when f is exactly mirror-even about index N/2
     on every axis (u[N/2 + j] == u[N/2 - j]); None otherwise."""
@@ -258,7 +262,8 @@ def fold_even(f: RealField) -> RealField | None:
         lead = (slice(None),) * axis
         if not np.array_equal(v[lead + (slice(1, half),)], v[lead + (slice(N - 1, half, -1),)]):
             return None
-    return RealField(replace(f.grid, even=True), v[(slice(half, None, -1),) * f.grid.n].copy())
+    layout = even_layout(f.grid.n, f.grid.L, N)
+    return RealField(layout, v[(slice(half, None, -1),) * f.grid.n].copy())
 
 
 def unfold_even(f: RealField, grid: Grid) -> RealField:

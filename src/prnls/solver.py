@@ -130,13 +130,14 @@ def radial_scatter(f: RealField) -> float:
     Points are grouped by the integer squared index-distance from the center,
     the thinnest nonempty radius bins the lattice admits, so an exactly radial
     function scores 0 and the result measures pure anisotropy.  Normalized by
-    the global maximum modulus.
+    the global maximum modulus.  On the even layout the bins hold the same values.
     """
-    v = f.values
+    v, N = f.values, f.grid.N
     scale = float(np.max(np.abs(v)))
     if scale == 0.0:
         return 0.0
-    keys = sum_of_squares([np.arange(f.grid.N) - f.grid.center_index] * f.grid.n).ravel()
+    offsets = np.arange(N // 2 + 1) if f.grid.even else np.arange(N) - N // 2
+    keys = sum_of_squares([offsets] * f.grid.n).ravel()
     flat = v.ravel()
     size = int(keys.max()) + 1
     top, bot = np.full(size, -np.inf), np.full(size, np.inf)
@@ -228,5 +229,5 @@ def solve_ground_state(params: PhysParams, grid: Grid,
         to_physical(SpectralField(layout, U), out=u, work=NL)  # NL is refilled next pass
     del U, nl, NL, sqrt_D, inv_D
     f = unfold_even(RealField(layout, u), grid) if layout.even else RealField(grid, u)
-    del layout, u  # the even grid's tables and samples
+    del layout, u  # the loop's samples; even_layout keeps the layout for the records
     return _finalize(f, params, cfg, it, reason)

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import PhysParams, RealField, grad_norm_sq, make_grid, norm_hhalf, norm_l2, to_spectral
+from .model import (PhysParams, RealField, fold_even, grad_norm_sq, make_grid, norm_hhalf, norm_l2,
+                    to_spectral)
 from .snapshot import csv_text, json_text, save_field, write_text
 from .solver import GroundState, SolverConfig, h1_distance, radial_scatter, solve_ground_state
 from .variational import EnergyReport
@@ -157,22 +158,26 @@ class SweepResult:
 
 
 def make_record(c: float, gs: GroundState, reference: RealField) -> SweepRecord:
-    v = gs.field.values
+    """gs's row; on the even layout when fold_even takes both gs's state and reference."""
+    u, ref = fold_even(gs.field), fold_even(reference)
+    if u is None or ref is None:
+        u, ref = gs.field, reference
+    v = u.values
     peak = float(np.max(v))
-    F = to_spectral(gs.field)
+    F = to_spectral(u)
     grad_sq, hhalf = grad_norm_sq(F), norm_hhalf(F)
     del F  # released before the steps below allocate their own field-sized arrays
     return SweepRecord(
         c=float(c),
         I=float(gs.report.I),
         lp=float(gs.report.lp),
-        l2_sq=float(norm_l2(gs.field) ** 2),
+        l2_sq=float(norm_l2(u) ** 2),
         grad_sq=grad_sq,
         hhalf=hhalf,
-        err_h1=float(h1_distance(gs.field, reference)),
+        err_h1=float(h1_distance(u, ref)),
         residual=float(gs.report.residual),
         iterations=int(gs.iterations),
-        radial_scatter=float(radial_scatter(gs.field)),
+        radial_scatter=float(radial_scatter(u)),
         min_over_max=float(np.min(v) / peak) if peak > 0.0 else -math.inf,
         converged=bool(gs.converged),
     )

@@ -20,6 +20,7 @@ from .model import (
     PhysParams,
     RealField,
     SpectralField,
+    fold_even,
     norm_l2,
     sample_dot,
     to_physical,
@@ -41,20 +42,21 @@ class EnergyReport:
     identity_gap: float
 
 
-def _pos_pow(base: np.ndarray, q: float) -> np.ndarray:
-    # raises base >= 0, an array the caller owns, to q = p - 1 in (1, 3) in place;
-    # p = 3, the paper's case, squares
-    if q == 2.0:
-        np.multiply(base, base, out=base)
-    else:
-        np.power(base, q, out=base)
+def _signed_pow(base: np.ndarray, q: float, values: np.ndarray) -> np.ndarray:
+    # raises base, |u| or max(u, 0) in an array the caller owns, to q = p - 1 in (1, 3)
+    # in place and gives it u's sign: p = 3, the paper's case, as base * u, and p = 2.5,
+    # the 3D sweeps', as sqrt(base) * u (np.power(base, 1.5) took 9/10 of clamped_power)
+    if q == 1.5:
+        np.sqrt(base, out=base)
+    elif q != 2.0:
+        return np.copysign(np.power(base, q, out=base), values, out=base)
+    base *= values
     return base
 
 
 def odd_power(values: np.ndarray, p: float) -> np.ndarray:
     """|u|^{p-2} u for real exponents, i.e. sign(u) |u|^{p-1}."""
-    power = _pos_pow(np.abs(values), p - 1.0)
-    return np.copysign(power, values, out=power)
+    return _signed_pow(np.abs(values), p - 1.0, values)
 
 
 def clamped_power(values: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -62,7 +64,9 @@ def clamped_power(values: np.ndarray, p: float, out: np.ndarray | None = None) -
 
     out, an array of the shape of values, receives the result in place of a new array.
     """
-    return _pos_pow(np.maximum(values, 0.0, out=out), p - 1.0)
+    power = _signed_pow(np.maximum(values, 0.0, out=out), p - 1.0, values)
+    power += 0.0  # u < 0 gave -0.0
+    return power
 
 
 def lp_integral(u: RealField, p: float) -> float:
@@ -77,10 +81,21 @@ def quadratic_form(u: RealField | SpectralField, M: Multiplier, params: PhysPara
     return weighted_power(u, M.table + params.mu)
 
 
-def energy(u: RealField, M: Multiplier, params: PhysParams) -> EnergyReport:
-    """Full scalar report; for the zero field the residual entry is set to 0."""
+def _fold(u: RealField, M: Multiplier) -> tuple[RealField, Multiplier]:
+    """u and M on the even layout when fold_even takes u, the even table being the full
+    one's first N/2 + 1 entries on each leading axis; otherwise as given."""
     if M.grid != u.grid:
         raise ValueError("grid mismatch")
+    folded = None if u.grid.even else fold_even(u)
+    if folded is None:
+        return u, M
+    return folded, Multiplier(folded.grid, M.table[(slice(u.grid.N // 2 + 1),) * (u.grid.n - 1)])
+
+
+def energy(u: RealField, M: Multiplier, params: PhysParams) -> EnergyReport:
+    """Full scalar report, on the even layout for an exactly mirror-even u; for the zero
+    field the residual entry is set to 0."""
+    u, M = _fold(u, M)
     lp = lp_integral(u, params.p)  # before the spectrum exists: its power has temporaries
     F = to_spectral(u)
     D = M.table + params.mu
@@ -100,10 +115,13 @@ def energy(u: RealField, M: Multiplier, params: PhysParams) -> EnergyReport:
 
 
 def nehari_project(u: RealField, M: Multiplier, params: PhysParams) -> tuple[float, RealField]:
-    """Scalar rescaling t* u with J(t* u) = 0; t* = (Q / ||u||_p^p)^{1/(p-2)}."""
-    lp = lp_integral(u, params.p)
+    """Scalar rescaling t* u with J(t* u) = 0; t* = (Q / ||u||_p^p)^{1/(p-2)}, Q and
+    ||u||_p^p summed on the even layout for an exactly mirror-even u."""
+    folded, M = _fold(u, M)
+    lp = lp_integral(folded, params.p)
     if lp == 0.0:  # the zero field, or one whose p-th power underflows
         raise ValueError("Nehari projection is undefined for the zero field")
-    Q = quadratic_form(u, M, params)
+    Q = quadratic_form(folded, M, params)
+    del folded
     t_star = float((Q / lp) ** (1.0 / (params.p - 2.0)))
     return t_star, RealField(u.grid, t_star * u.values)

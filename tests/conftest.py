@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import prnls as P
+import prnls.sweep as sweep
+import prnls.variational as variational
+from prnls.model import even_layout, unfold_even
 from prnls.snapshot import params_from_header
 from prnls.sweep import RunConfig, run_sweep
 
@@ -45,6 +48,21 @@ def peak_fields(grid, fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak / (8 * grid.N**grid.n)
+
+
+def even_bump(grid, seed):
+    """A positive random bump mirrored about the box center: exactly mirror-even, not radial."""
+    half = even_layout(grid.n, grid.L, grid.N)
+    noise = 1.0 + np.abs(np.random.default_rng(seed).standard_normal(half.shape))
+    mirrored = unfold_even(P.RealField(half, noise), grid).values
+    return P.RealField(grid, mirrored * P.gaussian_field(grid, grid.L / 8.0).values)
+
+
+@pytest.fixture
+def full_box(monkeypatch):
+    """energy, nehari_project and make_record on the full box, whatever fold_even says."""
+    for module in (variational, sweep):
+        monkeypatch.setattr(module, "fold_even", lambda f: None)
 
 
 @pytest.fixture(scope="session")

@@ -322,6 +322,11 @@ class TestEvenLayout:
         back = unfold_even(folded, g)
         assert back.grid == g and np.array_equal(back.values, even_noise.values)
 
+    def test_folds_share_one_layout_per_box(self, even_noise):
+        g = even_noise.grid
+        mirrored = P.RealField(P.make_grid(g.n, g.L, g.N), 2.0 * even_noise.values)
+        assert fold_even(mirrored).grid is fold_even(even_noise).grid
+
     def test_symbol_table_is_the_full_table_at_nonnegative_frequencies(self, even_noise):
         g = even_noise.grid
         params = P.PhysParams(m=1.0, mu=1.0, c=2.0, p=2.5, n=g.n)

@@ -1,4 +1,5 @@
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -9,7 +10,7 @@ import pytest
 import prnls as P
 import prnls.solver as solver
 from conftest import interpolate_to, peak_fields
-from prnls.model import fold_even, warn_if_poorly_truncated
+from prnls.model import even_layout, fold_even, warn_if_poorly_truncated
 from prnls.solver import SolverConfig
 from prnls.sweep import make_record
 from prnls.variational import clamped_power
@@ -215,14 +216,19 @@ class TestMemory:
     conftest.peak_fields, in 2D at N = 256 and in 3D at N = 64."""
 
     #: measured peaks (2D, 3D) of the steps a sweep runs on each state after its
-    #: solve loop; each is gated at its measured value plus MARGIN.  Before they
-    #: worked in place the same steps measured 4.15 / 4.22 (energy), 5.35 / 6.03
-    #: (make_record) and 4.34 / 5.00 (radial_scatter); energy measured 3.00 / 3.00
-    #: while odd_power allocated its sign.  radial_scatter's 2D figure holds two bin
-    #: tables of 2 (N/2)^2 + 1 entries, 0.5 field each.  center, the Fourier shift
-    #: of an off-center state, measured 5.17 / 5.22 while it built a full-size phase
-    #: table and multiplied out of place.
-    MEASURED = {"energy": (2.77, 2.67), "make_record": (3.02, 3.06),
+    #: solve loop; each is gated at its measured value plus MARGIN.  energy and
+    #: make_record fold the centered (mirror-even) state onto the even layout, which
+    #: the state's own report built first, as a sweep's loop does; they measured
+    #: 2.04 / 0.97 and 2.87 / 1.10 when they built it, and the off-center entries
+    #: are the full box's figures.  Before they worked in place the same steps
+    #: measured 4.15 / 4.22 (energy), 5.35 / 6.03 (make_record) and 4.34 / 5.00
+    #: (radial_scatter) on the full box; energy measured 3.00 / 3.00 while odd_power
+    #: allocated its sign.  radial_scatter's 2D figure holds two bin tables of
+    #: 2 (N/2)^2 + 1 entries, 0.5 field each.  center, the Fourier shift of an
+    #: off-center state, measured 5.17 / 5.22 while it built a full-size phase table
+    #: and multiplied out of place.
+    MEASURED = {"energy": (1.28, 0.69), "make_record": (2.10, 0.82),
+                "energy_off_center": (2.77, 2.67), "make_record_off_center": (3.02, 3.06),
                 "radial_scatter": (2.34, 1.08), "center": (2.15, 2.16)}
     #: measured loop peaks (2D, 3D) of a cold start, whose Gaussian is mirror-even,
     #: so the loop runs on the even layout: the peak is set in the loop in 2D and by
@@ -239,7 +245,8 @@ class TestMemory:
 
     def loop_peaks(self, n, N, monkeypatch):
         """Peaks of a 5- and a 60-iteration cold start, each read as the loop hands
-        its state to _finalize, whose energy sets a whole solve's peak."""
+        its state to _finalize, whose energy sets a whole solve's peak.  Each solve
+        builds its own even layout: the second does not find the first one's."""
         pp, g = self.setting(n, N)
         at_handoff = []
         finalize = solver._finalize
@@ -251,6 +258,7 @@ class TestMemory:
         monkeypatch.setattr(solver, "_finalize", probe)
         for max_iter in (5, 60):
             cfg = SolverConfig(tol_residual=1e-14, max_iter=max_iter)
+            even_layout.cache_clear()
             gs, _ = peak_fields(g, P.solve_ground_state, pp, g, cfg)
             assert gs.iterations == max_iter  # the tolerance is out of reach
         return at_handoff
@@ -298,8 +306,12 @@ class TestMemory:
                            converged=False, params=pp)
         reference = P.gaussian_field(g, 2.5)
         off_center = P.RealField(g, np.roll(u.values, 1, axis=0))
+        gs_off = dataclasses.replace(gs, field=off_center)
+        reference_off = P.RealField(g, np.roll(reference.values, 1, axis=0))
         calls = {"energy": (P.energy, u, M, pp),
                  "make_record": (make_record, pp.c, gs, reference),
+                 "energy_off_center": (P.energy, off_center, M, pp),
+                 "make_record_off_center": (make_record, pp.c, gs_off, reference_off),
                  "radial_scatter": (P.radial_scatter, u),
                  "center": (P.center, off_center)}
         _, peak = peak_fields(g, *calls[step])

@@ -10,8 +10,9 @@ import pytest
 import prnls as P
 import prnls.solver as solver
 import prnls.sweep as sweep
-from conftest import peak_fields
+from conftest import even_bump, peak_fields
 
+from prnls.model import even_layout, fold_even
 from prnls.snapshot import params_from_header
 from prnls.solver import SolverConfig
 from prnls.sweep import (
@@ -168,12 +169,14 @@ class TestRunSweep:
 
     def test_sweep_peak_is_below_the_full_box_sweeps(self, tmp_path):
         # every loop here runs on the even layout, so the peak is set after a loop,
-        # in _finalize's energy; measured 7.25 fields, where the full-box loops
-        # peaked at 8.25 and set it
+        # in _finalize's energy; measured 5.19 fields with the even layout built in
+        # the sweep, 7.25 while energy and make_record ran on the full box, and 8.25
+        # where the full-box loops set it
         cfg = RunConfig(n=3, p=2.5, N=32, c_schedule=(1.0, 4.0), output_dir=str(tmp_path),
                         solver=SolverConfig(tol_residual=1e-14, max_iter=3))
+        even_layout.cache_clear()
         _, peak = peak_fields(P.make_grid(cfg.n, cfg.L, cfg.N), run_sweep, cfg)
-        assert peak <= 7.25 + 0.25
+        assert peak <= 5.19 + 0.25
 
     def test_under_resolved_rows_fail_on_the_negative_ripple(self, monkeypatch):
         # At N = 64 with mu = 2 each loop stops as "converged" on its clamped residual
@@ -205,6 +208,28 @@ class TestRunSweep:
             assert clamped <= 1e-9 * P.norm_l2(gs.field) < gs.report.residual * P.norm_l2(gs.field)
             assert np.min(v) < 0.0
 
+    @pytest.mark.parametrize("n, p, L, N", [(2, 3.0, 32.0, 64), (3, 2.5, 16.0, 32)])
+    @pytest.mark.filterwarnings("ignore::prnls.model.BoundaryDecayWarning")
+    def test_table_recomputed_from_snapshots_is_byte_identical(self, n, p, L, N, tmp_path):
+        # what certify-2d does: reload every state, rebuild its report with energy and
+        # its row with make_record against the reloaded limit state, re-emit the table
+        cfg = RunConfig(n=n, p=p, L=L, N=N, c_schedule=(1.0, 4.0), output_dir=str(tmp_path))
+        run_sweep(cfg)
+        limit, _ = P.load_field(tmp_path / "state_cinf.f64")
+        assert fold_even(limit) is not None  # the rows are computed on the even layout
+        records = []
+        for label in ("1", "4", "inf"):
+            field, head = P.load_field(tmp_path / f"state_c{label}.f64")
+            params = params_from_header(head)
+            side = json.loads((tmp_path / f"state_c{label}.json").read_text(encoding="ascii"))
+            report = P.energy(field, P.relativistic_multiplier(field.grid, params), params)
+            assert dataclasses.asdict(report) == side["report"]
+            gs = P.GroundState(field=field, report=report, iterations=side["iterations"],
+                               converged=side["converged"], params=params)
+            records.append(make_record(params.c, gs, limit))
+        (table,) = emit(records, tmp_path / "recomputed", formats=("csv",))
+        assert table.read_bytes() == (tmp_path / "sweep.csv").read_bytes()
+
     def test_peak_does_not_grow_with_the_schedule(self):
         # each state is recorded as it is solved, so a sweep holds the limit state
         # and the warm start however many values of c it is scheduled to solve
@@ -213,6 +238,7 @@ class TestRunSweep:
             for schedule in ((1.0, 4.0), (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)):
                 cfg = RunConfig(n=n, p=p, N=N, c_schedule=schedule,
                                 solver=SolverConfig(tol_residual=1e-14, max_iter=3))
+                even_layout.cache_clear()  # each sweep builds its own even layout
                 _, peak = peak_fields(P.make_grid(n, cfg.L, N), run_sweep, cfg)
                 peaks.append(peak)
             assert abs(peaks[1] - peaks[0]) <= 0.05, (n, peaks)
@@ -283,6 +309,41 @@ class TestEmit:
         assert a == b
 
 class TestMakeRecord:
+    @pytest.fixture(params=[(2, 64), (3, 32)], ids=["2d", "3d"])
+    def even_state(self, request):
+        """A non-radial mirror-even state with its report, and a mirror-even reference."""
+        n, N = request.param
+        g = P.make_grid(n, 16.0, N)
+        pp = P.PhysParams(m=1.0, mu=1.0, c=4.0, p=3.0 if n == 2 else 2.5, n=n)
+        u = even_bump(g, 7)
+        gs = P.GroundState(field=u, report=P.energy(u, P.relativistic_multiplier(g, pp), pp),
+                           iterations=3, converged=False, params=pp)
+        return gs, P.gaussian_field(g, 2.0)
+
+    def test_even_state_folds_to_the_full_box_values(self, even_state, request):
+        gs, reference = even_state
+        assert fold_even(gs.field) is not None and fold_even(reference) is not None
+        got = make_record(4.0, gs, reference)
+        request.getfixturevalue("full_box")
+        want = make_record(4.0, gs, reference)
+        for name in ("l2_sq", "grad_sq", "hhalf", "err_h1"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-13), name
+        assert got.radial_scatter == want.radial_scatter > 0.0  # max/min: the same bits
+        assert got.min_over_max == want.min_over_max
+        assert (got.I, got.lp, got.residual) == (want.I, want.lp, want.residual)
+
+    @pytest.mark.parametrize("rolled", ["state", "reference"])
+    def test_either_field_off_the_center_keeps_the_full_box(self, even_state, rolled, request):
+        gs, reference = even_state
+        roll = lambda f: P.RealField(f.grid, np.roll(f.values, 1, axis=0))  # noqa: E731
+        if rolled == "state":
+            gs = dataclasses.replace(gs, field=roll(gs.field))
+        else:
+            reference = roll(reference)
+        got = make_record(4.0, gs, reference)
+        request.getfixturevalue("full_box")
+        assert got == make_record(4.0, gs, reference)
+
     def test_zero_reference_gives_norm(self, limit_state):
         rec = make_record(math.inf, limit_state, limit_state.field)
         assert rec.err_h1 == 0.0

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import prnls as P
+import prnls.variational as variational
+from conftest import even_bump
 from prnls.model import fold_even, sample_dot
 from prnls.variational import lp_integral, quadratic_form
 
@@ -136,19 +138,55 @@ class TestEvenLayout:
         with pytest.warns(P.model.BoundaryDecayWarning):  # a small box suffices for the sums
             return P.solve_ground_state(pp, P.make_grid(3, 16.0, 32)).field, pp
 
-    def test_sums_match_the_full_box(self, state_c4):
+    def test_sums_match_the_full_box(self, state_c4, monkeypatch):
         full, pp = state_c4
         folded = fold_even(full)
         assert folded is not None and folded.grid.even
         assert P.norm_l2(folded) == pytest.approx(P.norm_l2(full), rel=1e-13)
         assert lp_integral(folded, pp.p) == pytest.approx(lp_integral(full, pp.p), rel=1e-13)
-        want = P.energy(full, P.relativistic_multiplier(full.grid, pp), pp)
-        got = P.energy(folded, P.relativistic_multiplier(folded.grid, pp), pp)
+        M = P.relativistic_multiplier(full.grid, pp)
+        got = P.energy(full, M, pp)  # folds the state itself
+        assert got == P.energy(folded, P.relativistic_multiplier(folded.grid, pp), pp)
+        monkeypatch.setattr(variational, "fold_even", lambda f: None)
+        want = P.energy(full, M, pp)
         for name in ("Q", "lp", "I"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-13), name
         assert abs(got.J - want.J) <= 1e-13 * want.Q  # J = Q - lp is round-off here
         assert want.residual <= 1e-9
         assert got.residual == pytest.approx(want.residual, rel=0, abs=1e-15)
+
+
+    @pytest.fixture(params=[(2, 64), (3, 32)], ids=["2d", "3d"])
+    def setting(self, request):
+        n, N = request.param
+        g = P.make_grid(n, 16.0, N)
+        pp = P.PhysParams(m=1.0, mu=1.0, c=4.0, p=3.0 if n == 2 else 2.5, n=n)
+        return g, pp, P.relativistic_multiplier(g, pp)
+
+    def test_even_state_folds_to_the_full_box_values(self, setting, request):
+        g, pp, M = setting
+        u = even_bump(g, 5)
+        assert fold_even(u) is not None
+        got, (t_got, proj_got) = P.energy(u, M, pp), P.nehari_project(u, M, pp)
+        request.getfixturevalue("full_box")
+        want, (t_want, proj_want) = P.energy(u, M, pp), P.nehari_project(u, M, pp)
+        for name in ("Q", "lp", "I", "residual"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-13), name
+        for name in ("J", "identity_gap"):  # differences of the terms above
+            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-13 * want.Q, name
+        assert t_got == pytest.approx(t_want, rel=1e-13)
+        assert proj_got.grid == g
+        np.testing.assert_allclose(proj_got.values, proj_want.values, rtol=1e-13, atol=0)
+
+    def test_state_rolled_off_the_center_stays_on_the_full_box(self, setting, request):
+        g, pp, M = setting
+        u = P.RealField(g, np.roll(even_bump(g, 6).values, 1, axis=0))
+        assert fold_even(u) is None
+        got, (t_got, proj_got) = P.energy(u, M, pp), P.nehari_project(u, M, pp)
+        request.getfixturevalue("full_box")
+        want, (t_want, proj_want) = P.energy(u, M, pp), P.nehari_project(u, M, pp)
+        assert got == want and t_got == t_want
+        assert np.array_equal(proj_got.values, proj_want.values)
 
 
 def nehari_level(f, M, params):
