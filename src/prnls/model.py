@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -152,6 +152,10 @@ def sum_of_squares(axes) -> np.ndarray:
     return total
 
 
+#: shared_grid(n, L, N, even=False): one Grid per box and layout, for load_field and fold_even
+shared_grid = lru_cache(maxsize=8)(Grid)
+
+
 def make_grid(n: int, L: float, N: int) -> Grid:
     """Build a periodic grid; rejects n outside {2, 3} and non-power-of-two N."""
     return Grid(n=n, L=float(L), N=int(N))
@@ -250,10 +254,6 @@ def _dct1(x: np.ndarray, C: np.ndarray, out: np.ndarray | None = None,
     return x
 
 
-#: even_layout(n, L, N), the even layout of that box, built once and shared by every fold
-even_layout = lru_cache(maxsize=4)(partial(Grid, even=True))
-
-
 def fold_even(f: RealField) -> RealField | None:
     """f on the even layout of its grid, when f is exactly mirror-even about index N/2
     on every axis (u[N/2 + j] == u[N/2 - j]); None otherwise."""
@@ -262,7 +262,7 @@ def fold_even(f: RealField) -> RealField | None:
         lead = (slice(None),) * axis
         if not np.array_equal(v[lead + (slice(1, half),)], v[lead + (slice(N - 1, half, -1),)]):
             return None
-    layout = even_layout(f.grid.n, f.grid.L, N)
+    layout = shared_grid(f.grid.n, f.grid.L, N, True)
     return RealField(layout, v[(slice(half, None, -1),) * f.grid.n].copy())
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import PhysParams, RealField, make_grid
+from .model import PhysParams, RealField, shared_grid
 
 
 def _write_atomic(path: str | Path, *chunks) -> Path:
@@ -79,7 +79,7 @@ def load_field(path: str | Path) -> tuple[RealField, dict]:
         header_line = fh.readline()
         payload = fh.read()
     head = json.loads(header_line.decode("ascii"))
-    grid = make_grid(head["n"], head["L"], head["N"])
+    grid = shared_grid(head["n"], float(head["L"]), int(head["N"]))  # one per box, not per file
     expected = grid.N**grid.n * 8
     if len(payload) != expected:
         raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {expected}")

@@ -229,5 +229,5 @@ def solve_ground_state(params: PhysParams, grid: Grid,
         to_physical(SpectralField(layout, U), out=u, work=NL)  # NL is refilled next pass
     del U, nl, NL, sqrt_D, inv_D
     f = unfold_even(RealField(layout, u), grid) if layout.even else RealField(grid, u)
-    del layout, u  # the loop's samples; even_layout keeps the layout for the records
+    del layout, u  # the loop's samples; shared_grid keeps the layout for the records
     return _finalize(f, params, cfg, it, reason)

@@ -8,7 +8,7 @@ import pytest
 import prnls as P
 import prnls.sweep as sweep
 import prnls.variational as variational
-from prnls.model import even_layout, unfold_even
+from prnls.model import shared_grid, unfold_even
 from prnls.snapshot import params_from_header
 from prnls.sweep import RunConfig, run_sweep
 
@@ -52,7 +52,7 @@ def peak_fields(grid, fn, *args, **kwargs):
 
 def even_bump(grid, seed):
     """A positive random bump mirrored about the box center: exactly mirror-even, not radial."""
-    half = even_layout(grid.n, grid.L, grid.N)
+    half = shared_grid(grid.n, grid.L, grid.N, True)
     noise = 1.0 + np.abs(np.random.default_rng(seed).standard_normal(half.shape))
     mirrored = unfold_even(P.RealField(half, noise), grid).values
     return P.RealField(grid, mirrored * P.gaussian_field(grid, grid.L / 8.0).values)

@@ -20,6 +20,14 @@ def test_roundtrip_bitexact(tmp_path, grid, params_inf):
     assert restored == params_inf
 
 
+def test_snapshots_of_one_box_share_its_grid(tmp_path, grid, params_inf):
+    # a certification holds every state of a sweep at once: one xi_sq table, not one per file
+    f = P.gaussian_field(grid, 2.0)
+    a, _ = P.load_field(P.save_field(tmp_path / "a.f64", f, params_inf))
+    b, _ = P.load_field(P.save_field(tmp_path / "b.f64", f, params_inf))
+    assert a.grid is b.grid and a.grid == grid
+
+
 def test_header_is_one_json_line(tmp_path, grid, params_inf):
     path = P.save_field(tmp_path / "g.f64", P.gaussian_field(grid, 1.0), params_inf)
     with open(path, "rb") as fh:

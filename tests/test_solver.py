@@ -10,7 +10,7 @@ import pytest
 import prnls as P
 import prnls.solver as solver
 from conftest import interpolate_to, peak_fields
-from prnls.model import even_layout, fold_even, warn_if_poorly_truncated
+from prnls.model import fold_even, shared_grid, warn_if_poorly_truncated
 from prnls.solver import SolverConfig
 from prnls.sweep import make_record
 from prnls.variational import clamped_power
@@ -258,7 +258,7 @@ class TestMemory:
         monkeypatch.setattr(solver, "_finalize", probe)
         for max_iter in (5, 60):
             cfg = SolverConfig(tol_residual=1e-14, max_iter=max_iter)
-            even_layout.cache_clear()
+            shared_grid.cache_clear()
             gs, _ = peak_fields(g, P.solve_ground_state, pp, g, cfg)
             assert gs.iterations == max_iter  # the tolerance is out of reach
         return at_handoff

@@ -12,7 +12,7 @@ import prnls.solver as solver
 import prnls.sweep as sweep
 from conftest import even_bump, peak_fields
 
-from prnls.model import even_layout, fold_even
+from prnls.model import fold_even, shared_grid
 from prnls.snapshot import params_from_header
 from prnls.solver import SolverConfig
 from prnls.sweep import (
@@ -174,7 +174,7 @@ class TestRunSweep:
         # where the full-box loops set it
         cfg = RunConfig(n=3, p=2.5, N=32, c_schedule=(1.0, 4.0), output_dir=str(tmp_path),
                         solver=SolverConfig(tol_residual=1e-14, max_iter=3))
-        even_layout.cache_clear()
+        shared_grid.cache_clear()
         _, peak = peak_fields(P.make_grid(cfg.n, cfg.L, cfg.N), run_sweep, cfg)
         assert peak <= 5.19 + 0.25
 
@@ -238,7 +238,7 @@ class TestRunSweep:
             for schedule in ((1.0, 4.0), (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)):
                 cfg = RunConfig(n=n, p=p, N=N, c_schedule=schedule,
                                 solver=SolverConfig(tol_residual=1e-14, max_iter=3))
-                even_layout.cache_clear()  # each sweep builds its own even layout
+                shared_grid.cache_clear()  # each sweep builds its own even layout
                 _, peak = peak_fields(P.make_grid(n, cfg.L, N), run_sweep, cfg)
                 peaks.append(peak)
             assert abs(peaks[1] - peaks[0]) <= 0.05, (n, peaks)
