@@ -58,7 +58,6 @@ from .variational import (
     EnergyReport,
     energy,
     nehari_project,
-    quadratic_form,
 )
 
 __version__ = "0.1.0"

@@ -127,10 +127,6 @@ class Grid:
         return self.h**self.n * (TWO_PI) ** (-self.n / 2.0)
 
     @property
-    def center_index(self) -> int:
-        return self.N // 2
-
-    @property
     def center_coordinate(self) -> float:
         return self.h * (self.N // 2)
 

@@ -68,8 +68,8 @@ class SolverConfig:
         object.__setattr__(self, "max_iter", int(self.max_iter))
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.gamma is not None and not self.gamma > 1.0:
-            raise ValueError("gamma must exceed 1")
+        if self.gamma is not None and not (self.gamma > 1.0 and math.isfinite(self.gamma)):
+            raise ValueError("gamma must exceed 1 and be finite")
         if not (self.init_width > 0.0 and math.isfinite(self.init_width)):
             raise ValueError("init_width must be positive and finite")
         if not self.fallback_step > 0.0:
@@ -157,7 +157,9 @@ def h1_distance(f: RealField, g: RealField) -> float:
 def _finalize(f: RealField, params: PhysParams, cfg: SolverConfig, iterations: int,
               stop_reason: str) -> GroundState:
     f = center(f)
-    report = energy(f, relativistic_multiplier(f.grid, params), params)
+    state = fold_even(f) or f  # a mirror-even state is reported on its even layout
+    report = energy(state, relativistic_multiplier(state.grid, params), params)
+    del state  # not held through the truncation check
     converged = stop_reason == "converged" and report.residual <= cfg.tol_residual
     if converged:
         warn_if_poorly_truncated(f)

@@ -19,7 +19,6 @@ import numpy as np
 from .model import (
     PhysParams,
     RealField,
-    SpectralField,
     fold_even,
     norm_l2,
     sample_dot,
@@ -39,7 +38,7 @@ class EnergyReport:
     I: float
     J: float
     residual: float
-    identity_gap: float
+    identity_gap: float  # |I - (1/2 - 1/p) ||u||_p^p|, which is |J| / 2 by algebra
 
 
 def _signed_pow(base: np.ndarray, q: float, values: np.ndarray) -> np.ndarray:
@@ -74,28 +73,19 @@ def lp_integral(u: RealField, p: float) -> float:
     return float(sample_dot(u.grid, odd_power(u.values, p), u.values))
 
 
-def quadratic_form(u: RealField | SpectralField, M: Multiplier, params: PhysParams) -> float:
-    """Q(u) = sum over the lattice of (a(xi) + mu) |u_hat|^2, Parseval-weighted."""
-    if M.grid != u.grid:
-        raise ValueError("grid mismatch")
-    return weighted_power(u, M.table + params.mu)
+def energy(u: RealField, M: Multiplier, params: PhysParams) -> EnergyReport:
+    """Full scalar report, the one sum of Q and ||u||_p^p; for the zero field the
+    residual entry is set to 0.
 
-
-def _fold(u: RealField, M: Multiplier) -> tuple[RealField, Multiplier]:
-    """u and M on the even layout when fold_even takes u, the even table being the full
-    one's first N/2 + 1 entries on each leading axis; otherwise as given."""
+    A full-box u that fold_even takes is reported on the even layout, with M's first
+    N/2 + 1 entries on each leading axis as the even table.
+    """
     if M.grid != u.grid:
         raise ValueError("grid mismatch")
     folded = None if u.grid.even else fold_even(u)
-    if folded is None:
-        return u, M
-    return folded, Multiplier(folded.grid, M.table[(slice(u.grid.N // 2 + 1),) * (u.grid.n - 1)])
-
-
-def energy(u: RealField, M: Multiplier, params: PhysParams) -> EnergyReport:
-    """Full scalar report, on the even layout for an exactly mirror-even u; for the zero
-    field the residual entry is set to 0."""
-    u, M = _fold(u, M)
+    if folded is not None:
+        half = (slice(u.grid.N // 2 + 1),) * (u.grid.n - 1)
+        u, M = folded, Multiplier(folded.grid, M.table[half])
     lp = lp_integral(u, params.p)  # before the spectrum exists: its power has temporaries
     F = to_spectral(u)
     D = M.table + params.mu
@@ -110,18 +100,14 @@ def energy(u: RealField, M: Multiplier, params: PhysParams) -> EnergyReport:
         del D, F
         r -= odd_power(u.values, params.p)
         res = float(np.sqrt(sample_dot(u.grid, r, r))) / scale
-    gap = abs(I - (0.5 - 1.0 / params.p) * lp)
-    return EnergyReport(Q=Q, lp=lp, I=I, J=J, residual=res, identity_gap=gap)
+    return EnergyReport(Q=Q, lp=lp, I=I, J=J, residual=res, identity_gap=0.5 * abs(J))
 
 
 def nehari_project(u: RealField, M: Multiplier, params: PhysParams) -> tuple[float, RealField]:
     """Scalar rescaling t* u with J(t* u) = 0; t* = (Q / ||u||_p^p)^{1/(p-2)}, Q and
-    ||u||_p^p summed on the even layout for an exactly mirror-even u."""
-    folded, M = _fold(u, M)
-    lp = lp_integral(folded, params.p)
-    if lp == 0.0:  # the zero field, or one whose p-th power underflows
+    ||u||_p^p from energy."""
+    rep = energy(u, M, params)
+    if rep.lp == 0.0:  # the zero field, or one whose p-th power underflows
         raise ValueError("Nehari projection is undefined for the zero field")
-    Q = quadratic_form(folded, M, params)
-    del folded
-    t_star = float((Q / lp) ** (1.0 / (params.p - 2.0)))
+    t_star = float((rep.Q / rep.lp) ** (1.0 / (params.p - 2.0)))
     return t_star, RealField(u.grid, t_star * u.values)

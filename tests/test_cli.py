@@ -163,6 +163,14 @@ def test_init_width_validated(tmp_path, capsys, width):
     assert capsys.readouterr().err == "error: init_width must be positive and finite\n"
 
 
+def test_infinite_gamma_rejected(tmp_path, capsys):
+    # were it accepted, M^gamma would collapse the iterate to u = 0 and fail four checks
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": {"N": 64}, "solver": {"gamma": math.inf}}))  # Infinity
+    assert main(["solve", "--c", "inf", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: gamma must exceed 1 and be finite\n"
+
+
 def test_sweep_command(tiny_config, tmp_path, capsys):
     assert main(["sweep", "--config", str(tiny_config)]) == 0
     out = capsys.readouterr().out

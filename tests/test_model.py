@@ -106,7 +106,7 @@ class TestGrid:
         freqs = 2.0 * math.pi * np.fft.fftfreq(g.N, d=g.h)
         half = 2.0 * math.pi * np.fft.rfftfreq(g.N, d=g.h)
         d = g.axis_coordinates() - g.center_coordinate
-        idx = np.arange(g.N) - g.center_index
+        idx = np.arange(g.N) - g.N // 2
         for axes, table in [([freqs] * (n - 1) + [half], g.xi_sq),
                             ([d] * n, g.radius_sq()), ([idx] * n, sum_of_squares([idx] * n))]:
             expect = sum(a * a for a in np.meshgrid(*axes, indexing="ij"))

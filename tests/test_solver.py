@@ -68,7 +68,7 @@ class TestSolve:
     def test_maximum_at_center(self, limit_state):
         g = limit_state.field.grid
         idx = np.unravel_index(np.argmax(limit_state.field.values), g.shape)
-        assert idx == (g.center_index,) * g.n
+        assert idx == (g.N // 2,) * g.n
 
     def test_energy_increases_with_c(self, sweep_result):
         energies = [r.I for r in sweep_result.all_records()]
@@ -109,6 +109,22 @@ class TestSolve:
         assert full.converged and full.iterations == limit_state.iterations
         assert full.report.I == pytest.approx(limit_state.report.I, rel=1e-12)
         assert P.h1_distance(full.field, limit_state.field) <= 1e-8
+
+    def test_cold_start_builds_only_even_tables(self, monkeypatch):
+        # the loop and _finalize's energy both take the table of the state's even
+        # layout; the full-box table's first N/2 + 1 entries per leading axis are the
+        # same numbers, so the report is the one energy gives on the full box
+        g, pp = P.make_grid(2, 16.0, 64), P.PhysParams(m=1.0, mu=1.0, c=4.0, p=3.0, n=2)
+        grids, build = [], solver.relativistic_multiplier
+
+        def recording(grid, params):
+            grids.append(grid)
+            return build(grid, params)
+
+        monkeypatch.setattr(solver, "relativistic_multiplier", recording)
+        gs = P.solve_ground_state(pp, g, SolverConfig(max_iter=3))
+        assert len(grids) == 2 and all(grid.even for grid in grids)
+        assert gs.report == P.energy(gs.field, P.relativistic_multiplier(g, pp), pp)
 
     def test_cold_start_agrees_with_warm_start(self, grid, make_params, sweep_field):
         pp = make_params(c=4.0)
@@ -245,7 +261,7 @@ class TestMemory:
 
     def loop_peaks(self, n, N, monkeypatch):
         """Peaks of a 5- and a 60-iteration cold start, each read as the loop hands
-        its state to _finalize, whose energy sets a whole solve's peak.  Each solve
+        its state to _finalize, whose steps set a whole solve's peak.  Each solve
         builds its own even layout: the second does not find the first one's."""
         pp, g = self.setting(n, N)
         at_handoff = []
@@ -445,6 +461,8 @@ class TestConfig:
             SolverConfig(max_iter=0)
         with pytest.raises(ValueError):
             SolverConfig(gamma=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(gamma=math.inf)  # the step factor M^gamma collapses the iterate to 0
         with pytest.raises(ValueError):
             SolverConfig(fallback_step=0.0)
         with pytest.raises(ValueError, match="integer"):

@@ -5,7 +5,7 @@ import prnls as P
 import prnls.variational as variational
 from conftest import even_bump
 from prnls.model import fold_even, sample_dot
-from prnls.variational import lp_integral, quadratic_form
+from prnls.variational import lp_integral
 
 
 def cos_mode(grid):
@@ -20,9 +20,11 @@ def random_bump(grid, seed, width=3.0):
 
 
 class TestQuadraticForm:
+    """Q, the (A + mu)-weighted quadratic form, as energy reports it."""
+
     def test_zero_field(self, grid, limit_mult, params_inf):
         z = P.RealField(grid, np.zeros(grid.shape))
-        assert quadratic_form(z, limit_mult, params_inf) == 0.0
+        assert P.energy(z, limit_mult, params_inf).Q == 0.0
 
     def test_cos_mode_closed_form(self, grid, make_params):
         pp = make_params(c=2.0)
@@ -30,20 +32,20 @@ class TestQuadraticForm:
         f = cos_mode(grid)
         a = P.eval_relativistic_symbol((2 * np.pi / grid.L) ** 2, pp)
         expect = (a + pp.mu) * grid.L**2 / 2
-        assert quadratic_form(f, M, pp) == pytest.approx(expect, rel=1e-12)
+        assert P.energy(f, M, pp).Q == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_quadratic_homogeneity(self, grid, limit_mult, params_inf, seed):
         rng = np.random.default_rng(seed)
         f = P.RealField(grid, rng.standard_normal(grid.shape))
         t = float(rng.uniform(0.3, 3.0))
-        q1 = quadratic_form(f, limit_mult, params_inf)
-        qt = quadratic_form(P.RealField(grid, t * f.values), limit_mult, params_inf)
+        q1 = P.energy(f, limit_mult, params_inf).Q
+        qt = P.energy(P.RealField(grid, t * f.values), limit_mult, params_inf).Q
         assert qt == pytest.approx(t * t * q1, rel=1e-12)
 
     def test_bounded_below_by_mass_term(self, grid, limit_mult, params_inf):
         f = random_bump(grid, 7)
-        assert quadratic_form(f, limit_mult, params_inf) >= params_inf.mu * P.norm_l2(f) ** 2
+        assert P.energy(f, limit_mult, params_inf).Q >= params_inf.mu * P.norm_l2(f) ** 2
 
 
 class TestEnergy:
@@ -62,6 +64,7 @@ class TestEnergy:
         rep = P.energy(f, limit_mult, params_inf)
         assert rep.I == pytest.approx(0.5 * rep.Q - rep.lp / 3.0, rel=1e-14)
         assert rep.J == pytest.approx(rep.Q - rep.lp, rel=1e-14)
+        assert rep.identity_gap == 0.5 * abs(rep.J)  # one formula: the gap is |J| / 2
 
     def test_residual_matches_allocating_formula(self, grid, limit_mult, params_inf):
         # energy forms the residual in place; the bits are those of the plain formula
@@ -74,9 +77,10 @@ class TestEnergy:
         assert P.energy(f, limit_mult, params_inf).residual == expect
 
     def test_grid_mismatch_rejected(self, limit_mult, params_inf):
-        other = P.make_grid(2, 40.0, 256)
-        with pytest.raises(ValueError, match="^grid mismatch$"):
-            P.energy(P.gaussian_field(other, 2.0), limit_mult, params_inf)
+        # another box length, and another resolution of the same box
+        for other in (P.make_grid(2, 40.0, 256), P.make_grid(2, 32.0, 128)):
+            with pytest.raises(ValueError, match="^grid mismatch$"):
+                P.energy(P.gaussian_field(other, 2.0), limit_mult, params_inf)
 
     def test_converged_state_on_nehari_manifold(self, limit_state):
         rep = limit_state.report
@@ -87,10 +91,10 @@ class TestEnergy:
 class TestNehariProjection:
     def test_formula_matches_components(self, grid, limit_mult, params_inf):
         f = random_bump(grid, 9)
-        q = quadratic_form(f, limit_mult, params_inf)
-        lp = lp_integral(f, params_inf.p)
+        rep = P.energy(f, limit_mult, params_inf)
         t, proj = P.nehari_project(f, limit_mult, params_inf)
-        assert t == pytest.approx((q / lp) ** (1.0 / (params_inf.p - 2.0)), rel=1e-14)
+        assert t == (rep.Q / rep.lp) ** (1.0 / (params_inf.p - 2.0))  # energy's Q and lp
+        assert rep.lp == lp_integral(f, params_inf.p)
         assert np.array_equal(proj.values, t * f.values)
 
     def test_projected_state_has_zero_nehari_value(self, grid, limit_mult, params_inf):
@@ -175,6 +179,8 @@ class TestEvenLayout:
         for name in ("J", "identity_gap"):  # differences of the terms above
             assert abs(getattr(got, name) - getattr(want, name)) <= 1e-13 * want.Q, name
         assert t_got == pytest.approx(t_want, rel=1e-13)
+        for rep, t in ((got, t_got), (want, t_want)):  # t* is energy's, on either layout
+            assert t == (rep.Q / rep.lp) ** (1.0 / (pp.p - 2.0))
         assert proj_got.grid == g
         np.testing.assert_allclose(proj_got.values, proj_want.values, rtol=1e-13, atol=0)
 
