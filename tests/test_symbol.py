@@ -155,6 +155,12 @@ class TestMultiplier:
         b = grid.cell_volume * np.sum(f.values * apply_multiplier(M, g2).values)
         assert abs(a - b) <= 1e-11 * max(abs(a), 1.0)
 
+    def test_grid_mismatch_rejected(self, grid, limit_mult, params_inf):
+        # a table of one resolution refuses a field of another on the same box
+        other = P.make_grid(2, 32.0, 128)
+        with pytest.raises(ValueError, match="mismatch"):
+            P.energy(P.RealField(other, np.zeros(other.shape)), limit_mult, params_inf)
+
 
 class TestMultiplierConvergence:
     def test_gaussian_sequence_decreases(self, grid, params_inf):

@@ -77,10 +77,9 @@ class TestEnergy:
         assert P.energy(f, limit_mult, params_inf).residual == expect
 
     def test_grid_mismatch_rejected(self, limit_mult, params_inf):
-        # another box length, and another resolution of the same box
-        for other in (P.make_grid(2, 40.0, 256), P.make_grid(2, 32.0, 128)):
-            with pytest.raises(ValueError, match="^grid mismatch$"):
-                P.energy(P.gaussian_field(other, 2.0), limit_mult, params_inf)
+        other = P.make_grid(2, 40.0, 256)
+        with pytest.raises(ValueError, match="^grid mismatch$"):
+            P.energy(P.gaussian_field(other, 2.0), limit_mult, params_inf)
 
     def test_converged_state_on_nehari_manifold(self, limit_state):
         rep = limit_state.report
