@@ -72,7 +72,7 @@ class Grid:
     xi = 2 pi k / L, k = 0..N/2, mirror_weight, w = (1, 2, ..., 2, 1) per axis multiplied
     out, the box points each entry stands for, and cosine_matrix, one axis's DCT-I,
     C[k, j] = w_j cos(pi jk / (N/2)), with C C = N I.  The transforms, sums, symbol
-    tables and radial_scatter follow it; coordinates, center and boundary_max_ratio do not.
+    tables, offsets and seam follow it; axis_coordinates and center_coordinate do not.
     """
 
     n: int
@@ -133,10 +133,15 @@ class Grid:
     def axis_coordinates(self) -> np.ndarray:
         return self.h * np.arange(self.N)
 
+    def offsets(self) -> np.ndarray:
+        """One axis's sample offsets from the box center, in cells: -N/2..N/2-1 on the
+        full box, 0..N/2 on the even layout."""
+        return np.arange(self.N // 2 + 1) if self.even else np.arange(self.N) - self.N // 2
+
     def radius_sq(self) -> np.ndarray:
-        """Squared distance of every lattice point from the box center; the offsets
-        h (i - N/2) are exactly antisymmetric about it for every h."""
-        return sum_of_squares([self.h * (np.arange(self.N) - self.N // 2)] * self.n)
+        """Squared distance of every sample from the box center; h (i - N/2) is exactly
+        antisymmetric for every h, so the even layout's are the full box's, bit for bit."""
+        return sum_of_squares([self.h * self.offsets()] * self.n)
 
 
 def sum_of_squares(axes) -> np.ndarray:
@@ -148,7 +153,7 @@ def sum_of_squares(axes) -> np.ndarray:
     return total
 
 
-#: shared_grid(n, L, N, even=False): one Grid per box and layout, for load_field and fold_even
+#: shared_grid(n, L, N, even=False): one Grid per box and layout, shared by all its users
 shared_grid = lru_cache(maxsize=8)(Grid)
 
 
@@ -262,12 +267,6 @@ def fold_even(f: RealField) -> RealField | None:
     return RealField(layout, v[(slice(half, None, -1),) * f.grid.n].copy())
 
 
-def unfold_even(f: RealField, grid: Grid) -> RealField:
-    """The field on grid, the full box of f's even layout, whose nonnegative offsets f holds."""
-    offset = np.abs(np.arange(grid.N) - grid.N // 2)
-    return RealField(grid, f.values[np.ix_(*[offset] * grid.n)])
-
-
 def norm_l2(f: RealField) -> float:
     return math.sqrt(sample_dot(f.grid, f.values, f.values))
 
@@ -339,20 +338,24 @@ def derivative_freqs(grid: Grid, axis: int) -> np.ndarray:
 
 
 def gaussian_field(grid: Grid, width: float = 1.0) -> RealField:
-    """Centered Gaussian exp(-r^2 / (2 width^2))."""
+    """Centered Gaussian exp(-r^2 / (2 width^2)), on either layout."""
     if width <= 0:
         raise ValueError("width must be positive")
     return RealField(grid, np.exp(-grid.radius_sq() / (2.0 * width * width)))
 
 
+def _max_abs(v: np.ndarray) -> float:
+    return max(float(np.max(v)), -float(np.min(v)))  # max |v| without forming |v|
+
+
 def boundary_max_ratio(f: RealField) -> float:
-    """max |f| over the periodic seam (index-0 faces) relative to max |f|."""
-    v = np.abs(f.values)
-    peak = float(np.max(v))
+    """max |f| over the periodic seam, the faces at offset N/2 (index 0 on the full box,
+    -1 on the even layout), relative to max |f|."""
+    peak = _max_abs(f.values)
     if peak == 0.0:
         return 0.0
-    edge = max(float(np.max(np.take(v, 0, axis=ax))) for ax in range(f.grid.n))
-    return edge / peak
+    seam = -1 if f.grid.even else 0
+    return max(_max_abs(np.take(f.values, seam, axis=ax)) for ax in range(f.grid.n)) / peak
 
 
 def warn_if_poorly_truncated(f: RealField) -> float:

@@ -1,9 +1,11 @@
 """Run files: every file the package writes goes through this module, atomically
 (tmp file, then os.replace).  JSON is strict, CSV cells are plain numbers.
 
-Field snapshots are one JSON header line, then raw little-endian float64 samples.
-The header records the grid (n, L, N) and the physical parameters, so a
-snapshot is self-describing and loadable by any module.
+Field snapshots are one JSON header line, then raw little-endian float64 samples
+in the field's own layout: (N/2 + 1)^n samples of a mirror-even state on the even
+layout, N^n on the full box.  The header records the grid (n, L, N, even) and the
+physical parameters, so a snapshot is self-describing and loadable by any module;
+a header without "even" is a full-box snapshot.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ def json_text(obj, indent: int | None = None, sort_keys: bool = False) -> str:
 
 def save_field(path: str | Path, f: RealField, params: PhysParams) -> Path:
     """Write atomically: header line + row-major '<f8' payload, from the samples' buffer."""
-    head = {"n": f.grid.n, "L": f.grid.L, "N": f.grid.N, "params": dataclasses.asdict(params)}
+    g = f.grid
+    head = {"n": g.n, "L": g.L, "N": g.N, "even": g.even, "params": dataclasses.asdict(params)}
     head = json_text(head, sort_keys=True) + "\n"
     return _write_atomic(path, head.encode("ascii"), np.ascontiguousarray(f.values, "<f8"))
 
@@ -79,8 +82,9 @@ def load_field(path: str | Path) -> tuple[RealField, dict]:
         header_line = fh.readline()
         payload = fh.read()
     head = json.loads(header_line.decode("ascii"))
-    grid = shared_grid(head["n"], float(head["L"]), int(head["N"]))  # one per box, not per file
-    expected = grid.N**grid.n * 8
+    # one grid per box and layout, not per file
+    grid = shared_grid(head["n"], float(head["L"]), int(head["N"]), bool(head.get("even", False)))
+    expected = math.prod(grid.shape) * 8
     if len(payload) != expected:
         raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
     values = np.frombuffer(payload, dtype="<f8").reshape(grid.shape).copy()

@@ -8,8 +8,9 @@ The workhorse is the Petviashvili fixed-point iteration
 with the stabilizing exponent gamma = (p-1)/(p-2).  (A + mu)^{-1} is exact in
 spectral space.  solve_ground_state is the package's only solve loop.
 
-Every returned state is gauge-fixed: one Fourier shift puts the periodic
-centroid of u_+^2 at the box center (an axis with no first moment stays put).
+Every returned state is gauge-fixed: a state on the even layout is centered by
+its symmetry, and one Fourier shift puts the periodic centroid of u_+^2 of a
+full-box state at the box center (an axis with no first moment stays put).
 It is not rescaled: the iteration's normalization M_k -> 1 already puts a
 converged state on the Nehari manifold.  A norm above 1e12 raises BlowUpError.
 """
@@ -32,10 +33,10 @@ from .model import (
     gaussian_field,
     norm_h1,
     sample_dot,
+    shared_grid,
     sum_of_squares,
     to_physical,
     to_spectral,
-    unfold_even,
     warn_if_poorly_truncated,
     weighted_power,
 )
@@ -81,7 +82,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class GroundState:
-    """A converged (or best-effort) state plus its scalar diagnostics.
+    """A converged (or best-effort) state plus its scalar diagnostics; field is on the
+    layout its solve loop ran on (the even layout for a mirror-even start).
 
     stop_reason says why the iteration stopped: "converged" (the loop's residual
     test passed), "max_iter" or "pairing_collapse" (the Petviashvili pairing
@@ -106,6 +108,8 @@ def center(f: RealField) -> RealField:
     axis, multiplied in place, moves it with spectral accuracy (the Nyquist row is
     left unshifted).  An axis whose marginal has no first moment is not shifted.
     """
+    if f.grid.even:  # mirror-even about the center: centered by its symmetry
+        return f
     w = np.maximum(f.values, 0.0)  # the marginals sum w * w without forming it
     k = TWO_PI / f.grid.L
     wave = np.exp(1j * k * (f.grid.axis_coordinates() - f.grid.center_coordinate))
@@ -132,13 +136,11 @@ def radial_scatter(f: RealField) -> float:
     function scores 0 and the result measures pure anisotropy.  Normalized by
     the global maximum modulus.  On the even layout the bins hold the same values.
     """
-    v, N = f.values, f.grid.N
-    scale = float(np.max(np.abs(v)))
+    flat = f.values.ravel()
+    scale = float(np.max(np.abs(flat)))
     if scale == 0.0:
         return 0.0
-    offsets = np.arange(N // 2 + 1) if f.grid.even else np.arange(N) - N // 2
-    keys = sum_of_squares([offsets] * f.grid.n).ravel()
-    flat = v.ravel()
+    keys = sum_of_squares([f.grid.offsets()] * f.grid.n).ravel()
     size = int(keys.max()) + 1
     top, bot = np.full(size, -np.inf), np.full(size, np.inf)
     np.maximum.at(top, keys, flat)
@@ -156,10 +158,9 @@ def h1_distance(f: RealField, g: RealField) -> float:
 
 def _finalize(f: RealField, params: PhysParams, cfg: SolverConfig, iterations: int,
               stop_reason: str) -> GroundState:
-    f = center(f)
-    state = fold_even(f) or f  # a mirror-even state is reported on its even layout
-    report = energy(state, relativistic_multiplier(state.grid, params), params)
-    del state  # not held through the truncation check
+    if not f.grid.even:  # a mirror-even state is centered by its symmetry
+        f = center(f)
+    report = energy(f, relativistic_multiplier(f.grid, params), params)
     converged = stop_reason == "converged" and report.residual <= cfg.tol_residual
     if converged:
         warn_if_poorly_truncated(f)
@@ -172,9 +173,11 @@ def solve_ground_state(params: PhysParams, grid: Grid,
     """Petviashvili iteration to the relative-residual target, on work buffers
     allocated once per solve.
 
-    A start exactly mirror-even about the box center on every axis (a Gaussian, a
-    state this solver returned) runs the loop on the grid's even layout, and the
-    state is mirrored back to the full box; any other start runs on the full box.
+    The one place that picks a state's layout: a cold start's Gaussian is built on
+    the grid's even layout, init_field may be on grid or on that layout, and a full-box
+    init_field exactly mirror-even about the box center on every axis is folded onto
+    it.  The state keeps the layout its loop ran on: the even layout, or the full box
+    for any other start.
 
     Each pass stops once the spectral residual ||(A + mu) u - u_+^{p-1}|| / ||u||
     is within half the tolerance, or after max_iter steps, or when the pairing
@@ -188,10 +191,13 @@ def solve_ground_state(params: PhysParams, grid: Grid,
     """
     cfg = cfg or SolverConfig()
     gamma = cfg.resolved_gamma(params.p)
-    init = cfg.init_field if cfg.init_field is not None else gaussian_field(grid, cfg.init_width)
-    if init.grid != grid:
+    init, box = cfg.init_field, (grid.n, grid.L, grid.N)
+    if init is None:  # a Gaussian is mirror-even
+        init = gaussian_field(shared_grid(*box, True), cfg.init_width)
+    elif (init.grid.n, init.grid.L, init.grid.N) != box:
         raise ValueError("init_field grid does not match the solve grid")
-    init = fold_even(init) or init  # the layout follows the start; there is no option
+    elif not init.grid.even:
+        init = fold_even(init) or init  # the layout follows the start; there is no option
     M = relativistic_multiplier(init.grid, params)
     layout, u = init.grid, nehari_project(init, M, params)[1].values  # the loop's own array
     del init  # a cold start's Gaussian is not kept through the loop
@@ -230,6 +236,4 @@ def solve_ground_state(params: PhysParams, grid: Grid,
             raise BlowUpError("iterate became non-finite")
         to_physical(SpectralField(layout, U), out=u, work=NL)  # NL is refilled next pass
     del U, nl, NL, sqrt_D, inv_D
-    f = unfold_even(RealField(layout, u), grid) if layout.even else RealField(grid, u)
-    del layout, u  # the loop's samples; shared_grid keeps the layout for the records
-    return _finalize(f, params, cfg, it, reason)
+    return _finalize(RealField(layout, u), params, cfg, it, reason)

@@ -19,8 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (PhysParams, RealField, fold_even, grad_norm_sq, make_grid, norm_hhalf, norm_l2,
-                    to_spectral)
+from .model import PhysParams, RealField, grad_norm_sq, make_grid, norm_hhalf, norm_l2, to_spectral
 from .snapshot import csv_text, json_text, save_field, write_text
 from .solver import GroundState, SolverConfig, h1_distance, radial_scatter, solve_ground_state
 from .variational import EnergyReport
@@ -158,10 +157,8 @@ class SweepResult:
 
 
 def make_record(c: float, gs: GroundState, reference: RealField) -> SweepRecord:
-    """gs's row; on the even layout when fold_even takes both gs's state and reference."""
-    u, ref = fold_even(gs.field), fold_even(reference)
-    if u is None or ref is None:
-        u, ref = gs.field, reference
+    """gs's row, on the layout of gs's state, which reference must share."""
+    u = gs.field
     v = u.values
     peak = float(np.max(v))
     F = to_spectral(u)
@@ -174,7 +171,7 @@ def make_record(c: float, gs: GroundState, reference: RealField) -> SweepRecord:
         l2_sq=float(norm_l2(u) ** 2),
         grad_sq=grad_sq,
         hhalf=hhalf,
-        err_h1=float(h1_distance(u, ref)),
+        err_h1=float(h1_distance(u, reference)),
         residual=float(gs.report.residual),
         iterations=int(gs.iterations),
         radial_scatter=float(radial_scatter(u)),

@@ -19,7 +19,6 @@ import numpy as np
 from .model import (
     PhysParams,
     RealField,
-    fold_even,
     norm_l2,
     sample_dot,
     to_physical,
@@ -74,18 +73,10 @@ def lp_integral(u: RealField, p: float) -> float:
 
 
 def energy(u: RealField, M: Multiplier, params: PhysParams) -> EnergyReport:
-    """Full scalar report, the one sum of Q and ||u||_p^p; for the zero field the
-    residual entry is set to 0.
-
-    A full-box u that fold_even takes is reported on the even layout, with M's first
-    N/2 + 1 entries on each leading axis as the even table.
-    """
+    """Full scalar report, the one sum of Q and ||u||_p^p, on u's own layout, whose
+    table M must be; for the zero field the residual entry is set to 0."""
     if M.grid != u.grid:
         raise ValueError("grid mismatch")
-    folded = None if u.grid.even else fold_even(u)
-    if folded is not None:
-        half = (slice(u.grid.N // 2 + 1),) * (u.grid.n - 1)
-        u, M = folded, Multiplier(folded.grid, M.table[half])
     lp = lp_integral(u, params.p)  # before the spectrum exists: its power has temporaries
     F = to_spectral(u)
     D = M.table + params.mu

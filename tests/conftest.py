@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 import prnls as P
-import prnls.sweep as sweep
-import prnls.variational as variational
-from prnls.model import shared_grid, unfold_even
+from prnls.model import shared_grid
 from prnls.snapshot import params_from_header
 from prnls.sweep import RunConfig, run_sweep
 
@@ -20,7 +18,9 @@ def interpolate_to(f, N_new):
 
     The coarse Nyquist modes are dropped. Coefficient values are N-independent in
     this normalization, so padding is an exact embedding for band-limited fields.
+    A field on the even layout is unfolded first.
     """
+    f = full_box(f)
     g = f.grid
     if N_new < g.N:
         raise ValueError("N_new must not be smaller than the source N")
@@ -33,6 +33,18 @@ def interpolate_to(f, N_new):
     padded = np.zeros(fine.spectral_shape, dtype=np.complex128)
     padded[np.ix_(*dst)] = P.to_spectral(f).coeffs[np.ix_(*src)]
     return P.to_physical(P.SpectralField(fine, padded))
+
+
+def unfold_even(f, grid):
+    """The field on grid, the full box of f's even layout, whose nonnegative offsets f holds."""
+    offset = np.abs(np.arange(grid.N) - grid.N // 2)
+    return P.RealField(grid, f.values[np.ix_(*[offset] * grid.n)])
+
+
+def full_box(f):
+    """f on the full box of its grid: unfolded when f is on the even layout."""
+    g = f.grid
+    return unfold_even(f, P.make_grid(g.n, g.L, g.N)) if g.even else f
 
 
 def peak_fields(grid, fn, *args, **kwargs):
@@ -56,13 +68,6 @@ def even_bump(grid, seed):
     noise = 1.0 + np.abs(np.random.default_rng(seed).standard_normal(half.shape))
     mirrored = unfold_even(P.RealField(half, noise), grid).values
     return P.RealField(grid, mirrored * P.gaussian_field(grid, grid.L / 8.0).values)
-
-
-@pytest.fixture
-def full_box(monkeypatch):
-    """energy, nehari_project and make_record on the full box, whatever fold_even says."""
-    for module in (variational, sweep):
-        monkeypatch.setattr(module, "fold_even", lambda f: None)
 
 
 @pytest.fixture(scope="session")

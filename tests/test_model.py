@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import prnls as P
-from conftest import interpolate_to
-from prnls.model import derivative_freqs, fold_even, sample_dot, sum_of_squares, unfold_even
+from conftest import interpolate_to, peak_fields, unfold_even
+from prnls.model import (boundary_max_ratio, derivative_freqs, fold_even, sample_dot, shared_grid,
+                         sum_of_squares)
 
 
 def spectral_gradient(f):
@@ -306,6 +307,36 @@ class TestEvenLayout:
         v = P.gaussian_field(g, 1.0).values
         assert np.array_equal(v, reflection(v))
         assert fold_even(P.gaussian_field(g, 1.0)) is not None
+
+    @pytest.mark.parametrize("n, N", [(2, 64), (3, 32)])
+    def test_even_layout_tables_are_the_folded_full_ones(self, n, N):
+        # a cold start's Gaussian is built on the even layout: the same bits as the fold
+        g = P.make_grid(n, 10.3, N)
+        even = shared_grid(n, g.L, N, True)
+        assert np.array_equal(even.offsets(), np.arange(N // 2 + 1))
+        assert np.array_equal(g.offsets(), np.arange(N) - N // 2)
+        for full, half in [(g.radius_sq(), even.radius_sq()),
+                           (P.gaussian_field(g, 1.3).values, P.gaussian_field(even, 1.3).values)]:
+            assert np.array_equal(fold_even(P.RealField(g, full)).values, half)
+
+    def test_boundary_ratio_reads_the_seam_on_either_layout(self, even_noise):
+        # the seam is the offset-N/2 faces: index 0 on the full box, -1 on the even layout
+        g, v = even_noise.grid, even_noise.values
+        odd = P.RealField(g, np.random.default_rng(5).standard_normal(g.shape))
+        for f in (even_noise, odd):
+            a = np.abs(f.values)
+            seam = max(float(np.max(np.take(a, 0, axis=ax))) for ax in range(g.n))
+            assert boundary_max_ratio(f) == seam / float(np.max(a))
+        assert boundary_max_ratio(fold_even(even_noise)) == boundary_max_ratio(even_noise)
+        peaked = v.copy()
+        peaked[(0,) * g.n] = -10.0 * np.max(np.abs(v))  # the seam holds the largest |v|
+        assert boundary_max_ratio(P.RealField(g, peaked)) == 1.0
+        assert boundary_max_ratio(P.RealField(g, np.zeros(g.shape))) == 0.0
+
+    def test_boundary_ratio_forms_no_field_sized_copy(self, grid):
+        f = P.RealField(grid, np.random.default_rng(6).standard_normal(grid.shape))
+        _, peak = peak_fields(grid, boundary_max_ratio, f)
+        assert peak < 0.1  # measured 0.008 (2D, N = 256); 1.01 while it formed |f|
 
     def test_fold_needs_exact_evenness(self, even_noise):
         g, v = even_noise.grid, even_noise.values

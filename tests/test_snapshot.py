@@ -5,8 +5,21 @@ import numpy as np
 import pytest
 
 import prnls as P
-from conftest import peak_fields
+from conftest import peak_fields, unfold_even
+from prnls.model import fold_even, shared_grid
 from prnls.snapshot import csv_text, json_text, params_from_header
+
+
+def rewrite_header(path, **changes):
+    """Replace keys of a snapshot's header (None deletes one), keeping its payload."""
+    head, payload = path.read_bytes().split(b"\n", 1)
+    head = json.loads(head)
+    for key, value in changes.items():
+        if value is None:
+            del head[key]
+        else:
+            head[key] = value
+    path.write_bytes(json.dumps(head, sort_keys=True).encode("ascii") + b"\n" + payload)
 
 
 def test_roundtrip_bitexact(tmp_path, grid, params_inf):
@@ -80,3 +93,43 @@ def test_non_c_ordered_samples_written_row_major(tmp_path, grid, params_inf):
     values = np.random.default_rng(3).standard_normal(grid.shape)
     path = P.save_field(tmp_path / "t.f64", P.RealField(grid, values.T), params_inf)
     assert np.array_equal(P.load_field(path)[0].values, values.T)
+
+
+@pytest.fixture
+def even_state(grid):
+    """A mirror-even, non-radial state on the even layout of grid."""
+    half = shared_grid(grid.n, grid.L, grid.N, True)
+    noise = np.random.default_rng(12).standard_normal(half.shape)
+    return P.RealField(half, noise * P.gaussian_field(half, 4.0).values)
+
+
+def test_even_state_reloads_on_its_layout(tmp_path, grid, params_inf, even_state):
+    path = P.save_field(tmp_path / "e.f64", even_state, params_inf)
+    back, head = P.load_field(path)
+    assert head["even"] is True and back.grid is even_state.grid
+    assert np.array_equal(back.values, even_state.values)
+    assert path.stat().st_size - len(path.read_bytes().split(b"\n", 1)[0]) - 1 == 129**2 * 8
+    full, full_head = P.load_field(P.save_field(tmp_path / "f.f64", unfold_even(even_state, grid),
+                                                params_inf))
+    assert full_head["even"] is False and full.grid == grid
+    assert np.array_equal(unfold_even(back, grid).values, full.values)
+    assert np.array_equal(fold_even(full).values, back.values)
+
+
+def test_header_without_layout_loads_as_full_box(tmp_path, grid, params_inf):
+    f = P.gaussian_field(grid, 2.0)
+    path = P.save_field(tmp_path / "old.f64", f, params_inf)
+    rewrite_header(path, even=None)
+    back, head = P.load_field(path)
+    assert "even" not in head and back.grid == grid and not back.grid.even
+    assert np.array_equal(back.values, f.values)
+
+
+@pytest.mark.parametrize("layout", ["even", "full"])
+def test_payload_of_the_other_layout_rejected(tmp_path, grid, params_inf, even_state, layout):
+    f = even_state if layout == "even" else unfold_even(even_state, grid)
+    path = P.save_field(tmp_path / "x.f64", f, params_inf)
+    rewrite_header(path, even=layout != "even")
+    other = 256**2 * 8 if layout == "even" else 129**2 * 8
+    with pytest.raises(ValueError, match=f"payload has {f.values.size * 8} bytes, expected {other}$"):
+        P.load_field(path)

@@ -9,7 +9,7 @@ import pytest
 
 import prnls as P
 import prnls.solver as solver
-from conftest import interpolate_to, peak_fields
+from conftest import full_box, interpolate_to, peak_fields
 from prnls.model import fold_even, shared_grid, warn_if_poorly_truncated
 from prnls.solver import SolverConfig
 from prnls.sweep import make_record
@@ -66,9 +66,9 @@ class TestSolve:
             assert np.min(v) >= -1e-10 * np.max(v)
 
     def test_maximum_at_center(self, limit_state):
-        g = limit_state.field.grid
-        idx = np.unravel_index(np.argmax(limit_state.field.values), g.shape)
-        assert idx == (g.N // 2,) * g.n
+        f = full_box(limit_state.field)
+        idx = np.unravel_index(np.argmax(f.values), f.grid.shape)
+        assert idx == (f.grid.N // 2,) * f.grid.n
 
     def test_energy_increases_with_c(self, sweep_result):
         energies = [r.I for r in sweep_result.all_records()]
@@ -99,21 +99,21 @@ class TestSolve:
 
     def test_even_layout_agrees_with_the_full_box(self, grid, params_inf, limit_state):
         # the limit state's Gaussian start is mirror-even, so its loop ran on the even
-        # layout; rolled by one cell it is not, and the loop runs on the full box, the
-        # state then shifted back by _finalize's centering
+        # layout, which the state keeps; rolled by one cell it is not, and the loop runs
+        # on the full box, the state then shifted back by _finalize's centering
         start = P.gaussian_field(grid, 2.0)
         rolled = P.RealField(grid, np.roll(start.values, 1, axis=0))
         assert fold_even(start) is not None and fold_even(rolled) is None
         with pytest.warns(P.model.BoundaryDecayWarning):  # as the limit state's 2.8e-10
             full = P.solve_ground_state(params_inf, grid, SolverConfig(init_field=rolled))
+        assert full.field.grid == grid and limit_state.field.grid.even
         assert full.converged and full.iterations == limit_state.iterations
         assert full.report.I == pytest.approx(limit_state.report.I, rel=1e-12)
-        assert P.h1_distance(full.field, limit_state.field) <= 1e-8
+        assert P.h1_distance(full.field, full_box(limit_state.field)) <= 1e-8
 
     def test_cold_start_builds_only_even_tables(self, monkeypatch):
         # the loop and _finalize's energy both take the table of the state's even
-        # layout; the full-box table's first N/2 + 1 entries per leading axis are the
-        # same numbers, so the report is the one energy gives on the full box
+        # layout, which the state keeps
         g, pp = P.make_grid(2, 16.0, 64), P.PhysParams(m=1.0, mu=1.0, c=4.0, p=3.0, n=2)
         grids, build = [], solver.relativistic_multiplier
 
@@ -123,8 +123,9 @@ class TestSolve:
 
         monkeypatch.setattr(solver, "relativistic_multiplier", recording)
         gs = P.solve_ground_state(pp, g, SolverConfig(max_iter=3))
-        assert len(grids) == 2 and all(grid.even for grid in grids)
-        assert gs.report == P.energy(gs.field, P.relativistic_multiplier(g, pp), pp)
+        assert len(grids) == 2 and all(grid is gs.field.grid for grid in grids)
+        assert gs.field.grid == shared_grid(g.n, g.L, g.N, True)
+        assert gs.report == P.energy(gs.field, P.relativistic_multiplier(gs.field.grid, pp), pp)
 
     def test_cold_start_agrees_with_warm_start(self, grid, make_params, sweep_field):
         pp = make_params(c=4.0)
@@ -215,9 +216,25 @@ class TestSolve:
         assert gs.report.residual > 1e-9
 
     def test_grid_mismatch_rejected(self, grid, params_inf):
-        init = P.gaussian_field(P.make_grid(2, 32.0, 128), 2.0)
-        with pytest.raises(ValueError, match="^init_field grid does not match the solve grid$"):
-            P.solve_ground_state(params_inf, grid, SolverConfig(init_field=init))
+        # init_field may be on grid or on its even layout, not on another box's
+        for other in (P.make_grid(2, 32.0, 128), shared_grid(2, 32.0, 128, True)):
+            init = P.gaussian_field(other, 2.0)
+            with pytest.raises(ValueError, match="^init_field grid does not match the solve grid$"):
+                P.solve_ground_state(params_inf, grid, SolverConfig(init_field=init))
+
+    def test_mirror_even_start_is_folded_once(self, params_inf, monkeypatch):
+        # a full-box Gaussian start is folded onto the even layout, where a cold start
+        # builds its Gaussian: the two solves and their states are the same bits
+        g, folds = P.make_grid(2, 16.0, 64), []
+        monkeypatch.setattr(solver, "fold_even", lambda f: folds.append(f) or fold_even(f))
+        cold = P.solve_ground_state(params_inf, g, SolverConfig(max_iter=5))
+        assert folds == []
+        folded = P.solve_ground_state(params_inf, g, SolverConfig(
+            max_iter=5, init_field=P.gaussian_field(g, 2.0)))
+        assert len(folds) == 1
+        assert cold.field.grid == folded.field.grid == shared_grid(2, 16.0, 64, True)
+        assert np.array_equal(cold.field.values, folded.field.values)
+        assert cold.report == folded.report
 
     def test_3d_smoke(self):
         pp = P.PhysParams(m=1.0, mu=1.0, c=4.0, p=2.5, n=3)
@@ -232,27 +249,30 @@ class TestMemory:
     conftest.peak_fields, in 2D at N = 256 and in 3D at N = 64."""
 
     #: measured peaks (2D, 3D) of the steps a sweep runs on each state after its
-    #: solve loop; each is gated at its measured value plus MARGIN.  energy and
-    #: make_record fold the centered (mirror-even) state onto the even layout, which
-    #: the state's own report built first, as a sweep's loop does; they measured
-    #: 2.04 / 0.97 and 2.87 / 1.10 when they built it, and the off-center entries
-    #: are the full box's figures.  Before they worked in place the same steps
-    #: measured 4.15 / 4.22 (energy), 5.35 / 6.03 (make_record) and 4.34 / 5.00
-    #: (radial_scatter) on the full box; energy measured 3.00 / 3.00 while odd_power
-    #: allocated its sign.  radial_scatter's 2D figure holds two bin tables of
-    #: 2 (N/2)^2 + 1 entries, 0.5 field each.  center, the Fourier shift of an
-    #: off-center state, measured 5.17 / 5.22 while it built a full-size phase table
-    #: and multiplied out of place.
-    MEASURED = {"energy": (1.28, 0.69), "make_record": (2.10, 0.82),
+    #: solve loop; each is gated at its measured value plus MARGIN.  energy,
+    #: make_record and radial_scatter take a state on the even layout, which its loop
+    #: ran on and the state keeps; they measured 1.28 / 0.69, 2.10 / 0.82 and
+    #: 2.34 / 1.08 while the state was full-box and the first two folded it, and
+    #: 2.04 / 0.97 and 2.87 / 1.10 while they also built the even layout.  The
+    #: off-center entries are the full box's figures.  Before they worked in place
+    #: the same steps measured 4.15 / 4.22 (energy), 5.35 / 6.03 (make_record) and
+    #: 4.34 / 5.00 (radial_scatter) on the full box; energy measured 3.00 / 3.00
+    #: while odd_power allocated its sign.  radial_scatter's 2D figures hold two bin
+    #: tables of 2 (N/2)^2 + 1 entries, 0.5 field each, on either layout.  center,
+    #: the Fourier shift of an off-center state, measured 5.17 / 5.22 while it built
+    #: a full-size phase table and multiplied out of place.
+    MEASURED = {"energy": (1.02, 0.55), "make_record": (1.59, 0.55),
                 "energy_off_center": (2.77, 2.67), "make_record_off_center": (3.02, 3.06),
-                "radial_scatter": (2.34, 1.08), "center": (2.15, 2.16)}
-    #: measured loop peaks (2D, 3D) of a cold start, whose Gaussian is mirror-even,
-    #: so the loop runs on the even layout: the peak is set in the loop in 2D and by
-    #: the Gaussian start and the mirrored state in 3D.  They measured 2.79 / 2.06
-    #: while the state was mirrored into a second full-box grid, whose xi_sq table is
-    #: 0.5 field in 2D.  With hfft transforms, which copied and padded their input,
-    #: the loop set 2D's peak at 3.81.
-    EVEN_LOOP = (2.55, 2.00)
+                "radial_scatter": (1.59, 0.21), "radial_scatter_off_center": (2.34, 1.08),
+                "center": (2.15, 2.16)}
+    #: measured loop peaks (2D, 3D) of a cold start, whose Gaussian is built on the
+    #: even layout, where the loop runs and the state stays: the loop sets the whole
+    #: solve's peak.  They measured 2.55 / 2.00 while the Gaussian was built on the
+    #: full box and folded, when _finalize's centering of the mirrored state set the
+    #: whole solve's peak at 3.30 / 2.28; 2.79 / 2.06 while the state was mirrored
+    #: into a second full-box grid, whose xi_sq table is 0.5 field in 2D.  With hfft
+    #: transforms, which copied and padded their input, the loop set 2D's peak at 3.81.
+    EVEN_LOOP = (2.55, 1.24)
     MARGIN = 0.25
 
     @staticmethod
@@ -261,8 +281,8 @@ class TestMemory:
 
     def loop_peaks(self, n, N, monkeypatch):
         """Peaks of a 5- and a 60-iteration cold start, each read as the loop hands
-        its state to _finalize, whose steps set a whole solve's peak.  Each solve
-        builds its own even layout: the second does not find the first one's."""
+        its state to _finalize, then the peaks of the whole solves.  Each solve builds
+        its own even layout: the second does not find the first one's."""
         pp, g = self.setting(n, N)
         at_handoff = []
         finalize = solver._finalize
@@ -272,12 +292,14 @@ class TestMemory:
             return finalize(*args)
 
         monkeypatch.setattr(solver, "_finalize", probe)
+        whole = []
         for max_iter in (5, 60):
             cfg = SolverConfig(tol_residual=1e-14, max_iter=max_iter)
             shared_grid.cache_clear()
-            gs, _ = peak_fields(g, P.solve_ground_state, pp, g, cfg)
+            gs, peak = peak_fields(g, P.solve_ground_state, pp, g, cfg)
             assert gs.iterations == max_iter  # the tolerance is out of reach
-        return at_handoff
+            whole.append(peak)
+        return at_handoff + whole
 
     @pytest.mark.parametrize("n, N", [(2, 256), (3, 64)])
     def test_peak_is_flat_in_iterations_and_bounded(self, n, N):
@@ -308,27 +330,29 @@ class TestMemory:
     def test_even_loop_peak(self, n, N, monkeypatch):
         # the full-box loop measures 5.28 / 5.22 above, so this gate also shows that
         # a cold start's loop ran on the even layout
-        short, long = self.loop_peaks(n, N, monkeypatch)
+        short, long, short_solve, long_solve = self.loop_peaks(n, N, monkeypatch)
         assert long == pytest.approx(short, abs=0.05)
-        assert long <= self.EVEN_LOOP[n - 2] + self.MARGIN
+        assert max(long, short_solve, long_solve) <= self.EVEN_LOOP[n - 2] + self.MARGIN
 
     @pytest.mark.parametrize("step", sorted(MEASURED))
     @pytest.mark.parametrize("n, N", [(2, 256), (3, 64)])
     def test_post_loop_step_peak(self, step, n, N):
         pp, g = self.setting(n, N, c=4.0)
-        u = P.gaussian_field(g, 2.0)
-        M = P.relativistic_multiplier(g, pp)
+        even = shared_grid(n, g.L, N, True)
+        u = P.gaussian_field(even, 2.0)
+        M = P.relativistic_multiplier(even, pp)
         gs = P.GroundState(field=u, report=P.energy(u, M, pp), iterations=0,
                            converged=False, params=pp)
-        reference = P.gaussian_field(g, 2.5)
-        off_center = P.RealField(g, np.roll(u.values, 1, axis=0))
+        reference = P.gaussian_field(even, 2.5)
+        roll = lambda width: np.roll(P.gaussian_field(g, width).values, 1, axis=0)  # noqa: E731
+        off_center, reference_off = P.RealField(g, roll(2.0)), P.RealField(g, roll(2.5))
         gs_off = dataclasses.replace(gs, field=off_center)
-        reference_off = P.RealField(g, np.roll(reference.values, 1, axis=0))
         calls = {"energy": (P.energy, u, M, pp),
                  "make_record": (make_record, pp.c, gs, reference),
-                 "energy_off_center": (P.energy, off_center, M, pp),
+                 "energy_off_center": (P.energy, off_center, P.relativistic_multiplier(g, pp), pp),
                  "make_record_off_center": (make_record, pp.c, gs_off, reference_off),
                  "radial_scatter": (P.radial_scatter, u),
+                 "radial_scatter_off_center": (P.radial_scatter, off_center),
                  "center": (P.center, off_center)}
         _, peak = peak_fields(g, *calls[step])
         assert peak <= self.MEASURED[step][n - 2] + self.MARGIN
@@ -336,7 +360,9 @@ class TestMemory:
 
 def test_h1_distance_rejects_other_grids(grid):
     f = P.gaussian_field(grid, 2.0)
-    for other in (P.make_grid(2, 40.0, 256), P.make_grid(2, 32.0, 128)):
+    # the even layout of the same box too: no layout is implied
+    others = (P.make_grid(2, 40.0, 256), P.make_grid(2, 32.0, 128), shared_grid(2, 32.0, 256, True))
+    for other in others:
         with pytest.raises(ValueError, match="^grid mismatch$"):
             P.h1_distance(f, P.gaussian_field(other, 2.0))
     assert P.h1_distance(f, f) == 0.0
@@ -345,7 +371,7 @@ def test_h1_distance_rejects_other_grids(grid):
 class TestProjectedGradient:
     def test_agrees_with_petviashvili(self, pg_state, limit_state):
         assert pg_state.converged
-        assert P.h1_distance(pg_state.field, limit_state.field) <= 1e-6
+        assert P.h1_distance(pg_state.field, full_box(limit_state.field)) <= 1e-6
 
     def test_oversized_step_reports_nonconvergence(self, grid, params_inf, limit_mult):
         cfg = SolverConfig(fallback_step=10.0, max_iter=60)
@@ -379,6 +405,11 @@ class TestRecenter:
     def test_centered_field_unchanged(self, grid):
         base = P.gaussian_field(grid, 2.0)
         assert np.array_equal(P.center(base).values, base.values)
+
+    def test_even_layout_field_returned_as_is(self, grid):
+        # a GroundState's field is usually on the even layout, centered by its symmetry
+        f = P.gaussian_field(shared_grid(grid.n, grid.L, grid.N, True), 2.0)
+        assert P.center(f) is f
 
     def test_norms_preserved(self, grid):
         rng = np.random.default_rng(21)

@@ -10,7 +10,10 @@ import pytest
 import prnls as P
 import prnls.solver as solver
 import prnls.sweep as sweep
-from conftest import even_bump, peak_fields
+import prnls.model as model
+import prnls.snapshot as snapshot
+import prnls.variational as variational
+from conftest import even_bump, full_box, peak_fields
 
 from prnls.model import fold_even, shared_grid
 from prnls.snapshot import params_from_header
@@ -168,22 +171,24 @@ class TestRunSweep:
         assert all(not r.converged for r in result.all_records())
 
     def test_sweep_peak_is_below_the_full_box_sweeps(self, tmp_path):
-        # every loop here runs on the even layout, so the peak is set after a loop,
-        # in _finalize's centering, whose (u_+) is one full-box field; measured 4.92
-        # fields, 5.19 while _finalize's energy sliced a full-box table, 7.25 while
-        # energy and make_record ran on the full box, and 8.25 where the full-box
-        # loops set it
-        cfg = RunConfig(n=3, p=2.5, N=32, c_schedule=(1.0, 4.0), output_dir=str(tmp_path),
-                        solver=SolverConfig(tol_residual=1e-14, max_iter=3))
-        shared_grid.cache_clear()
-        _, peak = peak_fields(P.make_grid(cfg.n, cfg.L, cfg.N), run_sweep, cfg)
-        assert peak <= 4.92 + 0.25
+        # every loop here runs on the even layout, and every state stays there through
+        # its records and snapshot; measured 2.26 fields in 3D (N = 32) and 3.78 in 2D
+        # (N = 128).  In 3D: 4.92 while each state was unfolded to the full box, where
+        # _finalize's centering set the peak, 5.19 while _finalize's energy sliced a
+        # full-box table, 7.25 while energy and make_record ran on the full box, and
+        # 8.25 where the full-box loops set it; 6.53 in 2D while states were unfolded
+        for n, p, N, measured in ((3, 2.5, 32, 2.26), (2, 3.0, 128, 3.78)):
+            cfg = RunConfig(n=n, p=p, N=N, c_schedule=(1.0, 4.0), output_dir=str(tmp_path),
+                            solver=SolverConfig(tol_residual=1e-14, max_iter=3))
+            shared_grid.cache_clear()
+            _, peak = peak_fields(P.make_grid(cfg.n, cfg.L, cfg.N), run_sweep, cfg)
+            assert peak <= measured + 0.25, (n, peak)
 
     def test_under_resolved_rows_fail_on_the_negative_ripple(self, monkeypatch):
         # At N = 64 with mu = 2 each loop stops as "converged" on its clamped residual
         # ||(A + mu) u - u_+^{p-1}||, while the finalized residual, with the odd power
-        # |u|^{p-2} u, also sees the ripple where u < 0; centering leaves every state as
-        # it is, so it is not what lifts the residual.
+        # |u|^{p-2} u, also sees the ripple where u < 0; every state keeps its loop's
+        # even layout and is not centered, so centering is not what lifts the residual.
         states, centered = [], []
         solve, center = sweep.solve_ground_state, solver.center
 
@@ -198,7 +203,7 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "solve_ground_state", solve_and_keep)
         monkeypatch.setattr(solver, "center", center_and_check)
         result = run_sweep(RunConfig(N=64, mu=2.0, c_schedule=(4.0, 8.0)))
-        assert [out is gs.field for out, gs in zip(centered, states)] == [True] * 3
+        assert centered == [] and all(gs.field.grid.even for gs in states)
         assert not any(r.converged for r in result.all_records())
         for gs in states:
             g, v = gs.field.grid, gs.field.values
@@ -217,7 +222,7 @@ class TestRunSweep:
         cfg = RunConfig(n=n, p=p, L=L, N=N, c_schedule=(1.0, 4.0), output_dir=str(tmp_path))
         run_sweep(cfg)
         limit, _ = P.load_field(tmp_path / "state_cinf.f64")
-        assert fold_even(limit) is not None  # the rows are computed on the even layout
+        assert limit.grid.even  # the rows are computed on the even layout
         records = []
         for label in ("1", "4", "inf"):
             field, head = P.load_field(tmp_path / f"state_c{label}.f64")
@@ -264,6 +269,42 @@ class TestRunSweep:
             run_sweep(dataclasses.replace(cfg, mu=0.5))
         assert not list(tmp_path.glob("sweep.*"))
         assert params_from_header(P.load_field(tmp_path / "state_cinf.f64")[1]).mu == 0.5
+
+    @pytest.mark.parametrize("n, p, N", [(2, 3.0, 64), (3, 2.5, 32)])
+    @pytest.mark.filterwarnings("ignore::prnls.model.BoundaryDecayWarning")
+    def test_sweep_path_never_touches_the_full_box(self, n, p, N, tmp_path, monkeypatch):
+        # a cold start's Gaussian is built on the even layout, so nothing is folded or
+        # centered, every state keeps the layout, and every snapshot holds (N/2 + 1)^n
+        # samples
+        calls = {"fold_even": 0, "center": 0}
+
+        def counting(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        for module in (model, solver, sweep, variational, snapshot):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        states, solve = [], sweep.solve_ground_state
+
+        def solve_and_keep(*args):
+            states.append(solve(*args))
+            return states[-1]
+
+        monkeypatch.setattr(sweep, "solve_ground_state", solve_and_keep)
+        cfg = RunConfig(n=n, p=p, N=N, output_dir=str(tmp_path))
+        run_sweep(cfg)
+        assert calls == {"fold_even": 0, "center": 0}
+        assert len(states) == 7
+        assert all(gs.field.grid == shared_grid(n, cfg.L, N, True) for gs in states)
+        snapshots = sorted(tmp_path.glob("*.f64"))
+        assert len(snapshots) == 7
+        for path in snapshots:
+            payload = path.read_bytes().split(b"\n", 1)[1]
+            assert len(payload) == (N // 2 + 1) ** n * 8, path.name
 
     def test_energy_bounded_by_limit_level(self, sweep_result):
         top = sweep_result.limit_record.I
@@ -312,21 +353,22 @@ class TestEmit:
 class TestMakeRecord:
     @pytest.fixture(params=[(2, 64), (3, 32)], ids=["2d", "3d"])
     def even_state(self, request):
-        """A non-radial mirror-even state with its report, and a mirror-even reference."""
+        """A non-radial state on the even layout with its report, and a reference there."""
         n, N = request.param
         g = P.make_grid(n, 16.0, N)
         pp = P.PhysParams(m=1.0, mu=1.0, c=4.0, p=3.0 if n == 2 else 2.5, n=n)
-        u = even_bump(g, 7)
-        gs = P.GroundState(field=u, report=P.energy(u, P.relativistic_multiplier(g, pp), pp),
+        u = fold_even(even_bump(g, 7))
+        gs = P.GroundState(field=u, report=P.energy(u, P.relativistic_multiplier(u.grid, pp), pp),
                            iterations=3, converged=False, params=pp)
-        return gs, P.gaussian_field(g, 2.0)
+        return gs, P.gaussian_field(u.grid, 2.0)
 
-    def test_even_state_folds_to_the_full_box_values(self, even_state, request):
+    def test_even_state_folds_to_the_full_box_values(self, even_state):
+        # the row of a state on the even layout is the row of its unfolding
         gs, reference = even_state
-        assert fold_even(gs.field) is not None and fold_even(reference) is not None
+        assert gs.field.grid.even and reference.grid.even
         got = make_record(4.0, gs, reference)
-        request.getfixturevalue("full_box")
-        want = make_record(4.0, gs, reference)
+        want = make_record(4.0, dataclasses.replace(gs, field=full_box(gs.field)),
+                           full_box(reference))
         for name in ("l2_sq", "grad_sq", "hhalf", "err_h1"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-13), name
         assert got.radial_scatter == want.radial_scatter > 0.0  # max/min: the same bits
@@ -334,16 +376,26 @@ class TestMakeRecord:
         assert (got.I, got.lp, got.residual) == (want.I, want.lp, want.residual)
 
     @pytest.mark.parametrize("rolled", ["state", "reference"])
-    def test_either_field_off_the_center_keeps_the_full_box(self, even_state, rolled, request):
+    def test_either_field_off_the_center_keeps_the_full_box(self, even_state, rolled):
         gs, reference = even_state
+        gs, reference = dataclasses.replace(gs, field=full_box(gs.field)), full_box(reference)
         roll = lambda f: P.RealField(f.grid, np.roll(f.values, 1, axis=0))  # noqa: E731
         if rolled == "state":
             gs = dataclasses.replace(gs, field=roll(gs.field))
         else:
             reference = roll(reference)
+        u = gs.field
+        assert not u.grid.even and fold_even(u if rolled == "state" else reference) is None
         got = make_record(4.0, gs, reference)
-        request.getfixturevalue("full_box")
-        assert got == make_record(4.0, gs, reference)
+        assert (got.l2_sq, got.grad_sq, got.hhalf) == (
+            P.norm_l2(u) ** 2, P.grad_norm_sq(u), P.norm_hhalf(u))
+        assert got.err_h1 == P.h1_distance(u, reference)
+        assert got.radial_scatter == P.radial_scatter(u)
+
+    def test_layouts_are_not_mixed(self, even_state):
+        gs, reference = even_state
+        with pytest.raises(ValueError, match="^grid mismatch$"):
+            make_record(4.0, gs, full_box(reference))
 
     def test_zero_reference_gives_norm(self, limit_state):
         rec = make_record(math.inf, limit_state, limit_state.field)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import prnls as P
-import prnls.variational as variational
-from conftest import even_bump
+from conftest import even_bump, full_box, unfold_even
 from prnls.model import fold_even, sample_dot
 from prnls.variational import lp_integral
 
@@ -131,7 +130,8 @@ class TestResidual:
 
 
 class TestEvenLayout:
-    """Every sum of energy, norm_l2 and lp_integral on a folded state against the full box."""
+    """Every sum of energy, norm_l2 and lp_integral on a state on the even layout
+    against the same state unfolded to the full box."""
 
     @pytest.fixture(params=[2, 3], ids=["2d", "3d"])
     def state_c4(self, request, sweep_field):
@@ -141,23 +141,19 @@ class TestEvenLayout:
         with pytest.warns(P.model.BoundaryDecayWarning):  # a small box suffices for the sums
             return P.solve_ground_state(pp, P.make_grid(3, 16.0, 32)).field, pp
 
-    def test_sums_match_the_full_box(self, state_c4, monkeypatch):
-        full, pp = state_c4
-        folded = fold_even(full)
-        assert folded is not None and folded.grid.even
+    def test_sums_match_the_full_box(self, state_c4):
+        folded, pp = state_c4
+        assert folded.grid.even
+        full = full_box(folded)
         assert P.norm_l2(folded) == pytest.approx(P.norm_l2(full), rel=1e-13)
         assert lp_integral(folded, pp.p) == pytest.approx(lp_integral(full, pp.p), rel=1e-13)
-        M = P.relativistic_multiplier(full.grid, pp)
-        got = P.energy(full, M, pp)  # folds the state itself
-        assert got == P.energy(folded, P.relativistic_multiplier(folded.grid, pp), pp)
-        monkeypatch.setattr(variational, "fold_even", lambda f: None)
-        want = P.energy(full, M, pp)
+        got = P.energy(folded, P.relativistic_multiplier(folded.grid, pp), pp)
+        want = P.energy(full, P.relativistic_multiplier(full.grid, pp), pp)
         for name in ("Q", "lp", "I"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-13), name
         assert abs(got.J - want.J) <= 1e-13 * want.Q  # J = Q - lp is round-off here
         assert want.residual <= 1e-9
         assert got.residual == pytest.approx(want.residual, rel=0, abs=1e-15)
-
 
     @pytest.fixture(params=[(2, 64), (3, 32)], ids=["2d", "3d"])
     def setting(self, request):
@@ -166,12 +162,12 @@ class TestEvenLayout:
         pp = P.PhysParams(m=1.0, mu=1.0, c=4.0, p=3.0 if n == 2 else 2.5, n=n)
         return g, pp, P.relativistic_multiplier(g, pp)
 
-    def test_even_state_folds_to_the_full_box_values(self, setting, request):
+    def test_even_state_folds_to_the_full_box_values(self, setting):
         g, pp, M = setting
         u = even_bump(g, 5)
-        assert fold_even(u) is not None
-        got, (t_got, proj_got) = P.energy(u, M, pp), P.nehari_project(u, M, pp)
-        request.getfixturevalue("full_box")
+        folded = fold_even(u)
+        M_even = P.relativistic_multiplier(folded.grid, pp)
+        got, (t_got, proj_got) = P.energy(folded, M_even, pp), P.nehari_project(folded, M_even, pp)
         want, (t_want, proj_want) = P.energy(u, M, pp), P.nehari_project(u, M, pp)
         for name in ("Q", "lp", "I", "residual"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-13), name
@@ -180,18 +176,21 @@ class TestEvenLayout:
         assert t_got == pytest.approx(t_want, rel=1e-13)
         for rep, t in ((got, t_got), (want, t_want)):  # t* is energy's, on either layout
             assert t == (rep.Q / rep.lp) ** (1.0 / (pp.p - 2.0))
-        assert proj_got.grid == g
-        np.testing.assert_allclose(proj_got.values, proj_want.values, rtol=1e-13, atol=0)
+        assert proj_got.grid == folded.grid and proj_want.grid == g
+        np.testing.assert_allclose(unfold_even(proj_got, g).values, proj_want.values,
+                                   rtol=1e-13, atol=0)
+        with pytest.raises(ValueError, match="^grid mismatch$"):  # no layout is implied
+            P.energy(folded, M, pp)
 
-    def test_state_rolled_off_the_center_stays_on_the_full_box(self, setting, request):
+    def test_state_rolled_off_the_center_stays_on_the_full_box(self, setting):
         g, pp, M = setting
         u = P.RealField(g, np.roll(even_bump(g, 6).values, 1, axis=0))
         assert fold_even(u) is None
         got, (t_got, proj_got) = P.energy(u, M, pp), P.nehari_project(u, M, pp)
-        request.getfixturevalue("full_box")
-        want, (t_want, proj_want) = P.energy(u, M, pp), P.nehari_project(u, M, pp)
-        assert got == want and t_got == t_want
-        assert np.array_equal(proj_got.values, proj_want.values)
+        assert got.Q == P.weighted_power(u, M.table + pp.mu)  # the full-box sum
+        assert got.lp == lp_integral(u, pp.p)
+        assert proj_got.grid == g
+        assert np.array_equal(proj_got.values, t_got * u.values)
 
 
 def nehari_level(f, M, params):
@@ -210,7 +209,7 @@ class TestRayleighQuotient:
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_equals_scaled_energy_at_ground_state(self, limit_state, limit_mult, params_inf):
-        level = nehari_level(limit_state.field, limit_mult, params_inf)
+        level = nehari_level(full_box(limit_state.field), limit_mult, params_inf)
         assert level == pytest.approx(limit_state.report.I, rel=1e-8)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -225,7 +224,7 @@ class TestRayleighQuotient:
         rng = np.random.default_rng(77)
         for _ in range(3):
             noise = rng.standard_normal(grid.shape) * P.gaussian_field(grid, 4.0).values
-            cand = P.RealField(grid, limit_state.field.values * (1.0 + 0.02 * noise))
+            cand = P.RealField(grid, full_box(limit_state.field).values * (1.0 + 0.02 * noise))
             assert nehari_level(cand, limit_mult, params_inf) >= i_gs - 1e-10 * i_gs
 
     def test_ordered_in_c_for_fixed_field(self, grid, make_params):
