@@ -70,9 +70,12 @@ class Grid:
     even is the solve loop's layout of a field mirror-even about the center
     (fold_even): N/2 + 1 samples per axis at offsets 0..N/2, a real spectrum at
     xi = 2 pi k / L, k = 0..N/2, mirror_weight, w = (1, 2, ..., 2, 1) per axis multiplied
-    out, the box points each entry stands for, and cosine_matrix, one axis's DCT-I,
-    C[k, j] = w_j cos(pi jk / (N/2)), with C C = N I.  The transforms, sums, symbol
-    tables, offsets and seam follow it; axis_coordinates and center_coordinate do not.
+    out, the box points each entry stands for, and the matrices of one axis's DCT-I,
+    C[k, j] = w_j cos(pi jk / (N/2)), with C C = N I: cosine_matrix, C itself, on axes
+    of fewer than RADIX2_MIN_POINTS points, and cosine_halves on longer ones, the pair
+    (E, O) of C's even rows and odd rows after one radix-2 step (_dct1); the other is
+    None.  The transforms, sums, symbol tables, offsets and seam follow it;
+    axis_coordinates and center_coordinate do not.
     """
 
     n: int
@@ -83,6 +86,8 @@ class Grid:
     xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
     mirror_weight: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     cosine_matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    cosine_halves: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n not in (2, 3):
@@ -98,9 +103,11 @@ class Grid:
         object.__setattr__(self, "xi_sq", sum_of_squares(axes))
         if self.even:
             edge = np.r_[1.0, np.full(self.N // 2 - 1, 2.0), 1.0]
-            jk = np.outer(*[np.arange(self.N // 2 + 1)] * 2) % self.N  # argument < 2 pi
             object.__setattr__(self, "mirror_weight", reduce(np.multiply.outer, [edge] * self.n))
-            object.__setattr__(self, "cosine_matrix", edge * np.cos(TWO_PI / self.N * jk))
+            if self.N // 2 + 1 < RADIX2_MIN_POINTS:
+                object.__setattr__(self, "cosine_matrix", cosine_matrix(self.N))
+            else:
+                object.__setattr__(self, "cosine_halves", cosine_halves(self.N))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -142,6 +149,29 @@ class Grid:
         """Squared distance of every sample from the box center; h (i - N/2) is exactly
         antisymmetric for every h, so the even layout's are the full box's, bit for bit."""
         return sum_of_squares([self.h * self.offsets()] * self.n)
+
+
+#: axis length (N/2 + 1 points) from which the even layout's DCT-I takes one radix-2
+#: step before its products; shorter axes keep the single product, measured faster
+#: there (_dct1)
+RADIX2_MIN_POINTS = 129
+
+
+def cosine_matrix(N: int) -> np.ndarray:
+    """The (N/2+1)-square DCT-I C[k, j] = w_j cos(pi jk / (N/2)), w = (1, 2, ..., 2, 1)."""
+    edge = np.r_[1.0, np.full(N // 2 - 1, 2.0), 1.0]
+    jk = np.outer(*[np.arange(N // 2 + 1)] * 2) % N  # argument < 2 pi
+    return edge * np.cos(TWO_PI / N * jk)
+
+
+def cosine_halves(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """cosine_matrix(N)'s rows split by parity, each folded onto half the samples:
+    E = cosine_matrix(N / 2), the (N/4+1)-square even rows, and the (N/4)-square odd
+    rows O[q, j] = w_j cos(pi j (2q + 1) / (N/2)), w = (1, 2, ..., 2)."""
+    K = N // 2
+    edge = np.r_[1.0, np.full(K // 2 - 1, 2.0)]
+    jq = np.outer(np.arange(1, K, 2), np.arange(K // 2)) % N  # argument < 2 pi
+    return cosine_matrix(K), edge * np.cos(TWO_PI / N * jq)
 
 
 def sum_of_squares(axes) -> np.ndarray:
@@ -206,7 +236,7 @@ def to_spectral(f: RealField, out: np.ndarray | None = None) -> SpectralField:
     holds exactly (up to roundoff).  out, an array of spectral_shape, receives
     the coefficients in place of a new array."""
     if f.grid.even:
-        coeffs = _dct1(f.values, f.grid.cosine_matrix, out)
+        coeffs = _dct1(f.values, f.grid.cosine_halves or f.grid.cosine_matrix, out)
     else:
         coeffs = np.fft.rfftn(f.values, out=out)
     coeffs *= f.grid.fourier_scale
@@ -225,7 +255,7 @@ def to_physical(F: SpectralField, out: np.ndarray | None = None,
     bits, without its complex temporary per leading axis."""
     grid = F.grid
     if grid.even:  # C C = N I: the DCT-I is its own inverse up to N per axis
-        values = _dct1(F.coeffs, grid.cosine_matrix, out, work)
+        values = _dct1(F.coeffs, grid.cosine_halves or grid.cosine_matrix, out, work)
         values /= grid.fourier_scale * grid.N**grid.n
         return RealField(grid, values)
     if work is None:
@@ -239,19 +269,61 @@ def to_physical(F: SpectralField, out: np.ndarray | None = None,
     return RealField(grid, values)
 
 
-def _dct1(x: np.ndarray, C: np.ndarray, out: np.ndarray | None = None,
-          work: np.ndarray | None = None) -> np.ndarray:
-    """DCT-I on every axis: one GEMM with the grid's cosine_matrix C per axis, into
-    work and out in turn (allocated when None), the last axis into out.  O(N^(n+1))
-    against hfft's O(N^n log N), it was measured faster only at 129^2, 33^3 and 65^3.
-    OpenBLAS threads a 2D axis's 129-square GEMM (N = 256), whose last bits then vary
-    with the thread count; the 3D products are not threaded."""
+def _dct1(x: np.ndarray, C: np.ndarray | tuple[np.ndarray, np.ndarray],
+          out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """DCT-I on every axis into out, with work (real, or a complex array's real part)
+    for the partial products; each is allocated when None, and work may be x itself.
+
+    C is the grid's cosine_matrix or its cosine_halves.  A matrix is applied as one
+    GEMM per axis, into work and out in turn, the last axis into out.  A pair (E, O)
+    takes one radix-2 step on each axis first (_dct1_radix2): (N/4+1)^2 + (N/4)^2
+    multiply-adds per column in place of (N/2+1)^2.  Per transform, with one BLAS
+    thread (2 cores, numpy 2.4.6), the step took 109 against 153 us at 129^2 (2D,
+    N = 256) and 672 against 992 us at 257^2, and lost at 65^2 (30 against 20 us),
+    33^3 (208 against 145 us) and 65^3 (2.74 against 1.89 ms): hence
+    RADIX2_MIN_POINTS.  OpenBLAS gives the same bits under one and two threads at
+    every size here but 257^2, whose 129-square products it threads.
+    """
     out = np.empty_like(x) if out is None else out
     work = np.empty_like(x) if work is None else work.real
+    if isinstance(C, tuple):
+        return _dct1_radix2(x, *C, out, work)
     for axis in range(x.ndim):
         y = out if (x.ndim - 1 - axis) % 2 == 0 else work
         core = (axis, -1 if axis < x.ndim - 1 else -2)  # GEMM rows: that axis; columns: another
         x = np.matmul(C, x, out=y, axes=[(0, 1), core, core])
+    return x
+
+
+def _dct1_radix2(x: np.ndarray, E: np.ndarray, O: np.ndarray, out: np.ndarray,
+                 work: np.ndarray) -> np.ndarray:
+    """_dct1 with one radix-2 step per axis.  With K = N/2 and the samples x_0..x_K of
+    an axis, y_(2q) = E s and y_(2q+1) = O d for s_j = x_j + x_(K-j), j <= K/2, and
+    d_j = x_j - x_(K-j), j < K/2, since cos(pi (K - j) k / K) = (-1)^k cos(pi jk / K).
+
+    Each axis in turn is copied to the front as x_0..x_(K/2), x_K..x_(K/2+1), so that
+    the butterfly, which stacks s over d, reads forward slices; the two products then
+    write the even and odd rows of the other buffer, row-strided views that BLAS takes
+    as they are (interleaving along the last, contiguous axis would not be).  Moving
+    the last axis to the front each time restores the axis order after n steps; the
+    writes alternate between out and work and end in out."""
+    h, K = O.shape[0], 2 * O.shape[0]
+    a, b = (work, out) if x.ndim % 2 == 0 else (out, work)
+    if np.may_share_memory(x, a):  # work passed as x: the first copy would overwrite it
+        x = x.copy()
+    last_first = (x.ndim - 1, *range(x.ndim - 1))  # numpy 2.4's moveaxis leaks ~100 B a call
+    for _ in range(x.ndim):
+        moved = x.transpose(last_first)
+        np.copyto(a[:h + 1], moved[:h + 1])
+        np.copyto(a[h + 1:], moved[K:h:-1])
+        np.add(a[:h], a[h + 1:], out=b[:h])
+        np.add(a[h], a[h], out=b[h])
+        np.subtract(a[:h], a[h + 1:], out=b[h + 1:])
+        # each operand as a matrix, its leading axis by the others: a view, as a
+        # leading-axis slice keeps its trailing axes evenly strided
+        np.matmul(E, b[:h + 1].reshape(h + 1, -1), out=a[0::2].reshape(h + 1, -1))
+        np.matmul(O, b[h + 1:].reshape(h, -1), out=a[1::2].reshape(h, -1))
+        x, a, b = a, b, a
     return x
 
 

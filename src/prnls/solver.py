@@ -28,6 +28,7 @@ from .model import (
     RealField,
     SpectralField,
     TWO_PI,
+    _max_abs,
     derivative_freqs,
     fold_even,
     gaussian_field,
@@ -137,7 +138,7 @@ def radial_scatter(f: RealField) -> float:
     the global maximum modulus.  On the even layout the bins hold the same values.
     """
     flat = f.values.ravel()
-    scale = float(np.max(np.abs(flat)))
+    scale = _max_abs(flat)
     if scale == 0.0:
         return 0.0
     keys = sum_of_squares([f.grid.offsets()] * f.grid.n).ravel()
@@ -145,8 +146,8 @@ def radial_scatter(f: RealField) -> float:
     top, bot = np.full(size, -np.inf), np.full(size, np.inf)
     np.maximum.at(top, keys, flat)
     np.minimum.at(bot, keys, flat)
-    present = top > -np.inf
-    return float(np.max(top[present] - bot[present])) / scale
+    top -= bot  # -inf on the bins no point falls in
+    return float(np.max(top)) / scale
 
 
 def h1_distance(f: RealField, g: RealField) -> float:
@@ -183,11 +184,11 @@ def solve_ground_state(params: PhysParams, grid: Grid,
     is within half the tolerance, or after max_iter steps, or when the pairing
     <u_+^{p-1}, u> is not positive (that failed step still counts).  The buffers
     are released before the state is finalized.  Deterministic for a fixed
-    configuration and BLAS thread count (OpenBLAS threads the even transform's GEMM
-    in 2D at N = 256).  Raises BlowUpError when the iterate's norm passes 1e12
-    (checked first in each pass, before the power can overflow) or it becomes
-    non-finite; plain non-convergence is returned as converged=False with the last
-    iterate and its stop_reason.
+    configuration, with the same bits under one or two OpenBLAS threads at 2D
+    N <= 256 and 3D N <= 128 (model._dct1).  Raises BlowUpError when the iterate's
+    norm passes 1e12 (checked first in each pass, before the power can overflow) or
+    it becomes non-finite; plain non-convergence is returned as converged=False with
+    the last iterate and its stop_reason.
     """
     cfg = cfg or SolverConfig()
     gamma = cfg.resolved_gamma(params.p)

@@ -28,20 +28,42 @@ def test_solve_command(tiny_config, tmp_path, capsys):
     assert (tmp_path / "out" / "state_c4.json").exists()
 
 
-@pytest.mark.skipif("openblas" not in np.show_config(mode="dicts")["Build Dependencies"]
-                    ["blas"]["name"].lower(), reason="OPENBLAS_NUM_THREADS needs OpenBLAS")
-def test_solve_output_does_not_depend_on_blas_threads(tmp_path):
-    # the even layout's transforms are GEMMs; a threaded one changes only last bits
+needs_openblas = pytest.mark.skipif(
+    "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower(),
+    reason="OPENBLAS_NUM_THREADS needs OpenBLAS")
+
+
+def run_cli_under_blas_threads(threads, args, cwd):
+    """prnls.cli with args in a fresh interpreter under OPENBLAS_NUM_THREADS=threads."""
     src = os.path.dirname(os.path.dirname(prnls.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-        run = subprocess.run([sys.executable, "-m", "prnls.cli", "solve", "--c", "inf"],
-                             cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
-        outputs.append(run.stdout)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "prnls.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+@needs_openblas
+def test_solve_output_does_not_depend_on_blas_threads(tmp_path):
+    outputs = [run_cli_under_blas_threads(t, ["solve", "--c", "inf"], tmp_path) for t in "12"]
     assert "iterations = " in outputs[0] and outputs[0].count("[ok]") == 5
     assert outputs[1] == outputs[0]
+
+
+@needs_openblas
+def test_sweep_files_do_not_depend_on_blas_threads(tmp_path):
+    # the 2D N = 256 sweep's transforms take the radix-2 step, whose half-size products
+    # give the same bits under one BLAS thread or two; the single 129-square product
+    # of each axis did not
+    files = []
+    for threads in "12":
+        out = tmp_path / threads
+        path = tmp_path / f"cfg{threads}.json"
+        path.write_text(json.dumps({"params": {"n": 2}, "grid": {"L": 32.0, "N": 256},
+                                    "output_dir": str(out)}))
+        run_cli_under_blas_threads(threads, ["sweep", "--config", str(path)], tmp_path)
+        files.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert "sweep.csv" in files[0] and len(files[0]) == 16  # table, JSON, 7 snapshots + headers
+    assert files[1] == files[0]
 
 
 def test_invalid_c_reports_error(tiny_config, capsys):

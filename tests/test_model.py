@@ -6,7 +6,8 @@ import pytest
 
 import prnls as P
 from conftest import interpolate_to, peak_fields, unfold_even
-from prnls.model import (boundary_max_ratio, derivative_freqs, fold_even, sample_dot, shared_grid,
+from prnls.model import (RADIX2_MIN_POINTS, _dct1, boundary_max_ratio, cosine_halves,
+                         cosine_matrix, derivative_freqs, fold_even, sample_dot, shared_grid,
                          sum_of_squares)
 
 
@@ -263,7 +264,8 @@ def dct1_hfft(x):
 
 
 class TestCosineTransform:
-    """The even layout's transforms, one cosine-matrix product per axis."""
+    """The even layout's transforms: one cosine-matrix product per axis, after one
+    radix-2 step on axes of 129 points or more."""
 
     def test_matrix_is_its_own_inverse_up_to_N(self):
         assert P.make_grid(2, 16.0, 64).cosine_matrix is None
@@ -271,7 +273,30 @@ class TestCosineTransform:
         assert C.shape == (33, 33)
         np.testing.assert_allclose(C @ C, 64.0 * np.eye(33), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n, N", [(2, 16), (2, 256), (3, 16), (3, 64), (3, 128)])
+    @pytest.mark.parametrize("N", [16, 64, 256])
+    def test_halves_are_the_even_and_odd_rows_folded(self, N):
+        C, (E, O) = cosine_matrix(N), cosine_halves(N)
+        K, h = N // 2, N // 4
+        assert E.shape == (h + 1, h + 1) and O.shape == (h, h)
+        np.testing.assert_array_equal(E, cosine_matrix(K))
+        # C's rows of one parity are even (odd) about column K/2: the folds sum (differ)
+        fold = np.zeros((K + 1, h + 1))
+        fold[np.arange(h + 1), np.arange(h + 1)] = 1.0
+        fold[np.arange(K, h - 1, -1), np.arange(h + 1)] += 1.0
+        np.testing.assert_allclose(E @ fold.T, C[0::2], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(O, C[1::2, :h], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(C[1::2, h], 0.0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(C[1::2, K:h:-1], -O, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("N, split", [(128, False), (256, True), (512, True)])
+    def test_grid_holds_the_matrices_of_its_axis_length(self, N, split):
+        g = shared_grid(2, 16.0, N, True)
+        assert (g.cosine_halves is not None, g.cosine_matrix is None) == (split, split)
+        assert (N // 2 + 1 >= RADIX2_MIN_POINTS) == split
+        assert P.make_grid(2, 16.0, N).cosine_halves is None
+
+    @pytest.mark.parametrize("n, N", [(2, 16), (2, 128), (2, 256), (2, 512), (3, 16), (3, 64),
+                                      (3, 128)])
     def test_agrees_with_the_hfft_reference_and_round_trips(self, n, N):
         g = dataclasses.replace(P.make_grid(n, 16.0, N), even=True)
         f = P.RealField(g, np.random.default_rng(900 + N).standard_normal(g.shape))
@@ -286,6 +311,23 @@ class TestCosineTransform:
         for work in (np.empty(g.spectral_shape), np.empty(g.spectral_shape, complex)):
             via_work = P.to_physical(P.SpectralField(g, spectrum), work=work).values
             np.testing.assert_array_equal(via_work, samples)  # the partial products' buffer
+        own = spectrum.copy()  # energy's residual: the input's buffer takes the partial products
+        np.testing.assert_array_equal(P.to_physical(P.SpectralField(g, own), work=own).values,
+                                      samples)
+
+    @pytest.mark.parametrize("n, N", [(2, 16), (2, 64), (3, 16), (3, 32)])
+    def test_radix2_step_agrees_with_the_hfft_reference_on_short_axes(self, n, N):
+        # the grid takes the step only from 129 points; the product is the same at any N,
+        # and an odd n ends its alternation of buffers in out as an even n does
+        x = np.random.default_rng(910 + N).standard_normal((N // 2 + 1,) * n)
+        out, work = np.empty_like(x), np.empty_like(x)
+        got = _dct1(x, cosine_halves(N), out, work)
+        assert got is out
+        expect = dct1_hfft(x)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+        np.testing.assert_array_equal(_dct1(x, cosine_halves(N)), got)
+        own = x.copy()
+        np.testing.assert_array_equal(_dct1(own, cosine_halves(N), work=own), got)
 
 
 class TestEvenLayout:
