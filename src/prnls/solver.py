@@ -23,23 +23,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    ROOT_HALF,
     Grid,
     PhysParams,
     RealField,
     SpectralField,
     TWO_PI,
+    _forward,
+    _inverse,
     _max_abs,
+    _parseval_root,
+    _re_dot,
     derivative_freqs,
     fold_even,
     gaussian_field,
     norm_h1,
-    sample_dot,
     shared_grid,
     sum_of_squares,
     to_physical,
     to_spectral,
     warn_if_poorly_truncated,
-    weighted_power,
 )
 from .symbol import relativistic_multiplier
 from .variational import EnergyReport, clamped_power, energy, nehari_project
@@ -182,7 +185,9 @@ def solve_ground_state(params: PhysParams, grid: Grid,
 
     Each pass stops once the spectral residual ||(A + mu) u - u_+^{p-1}|| / ||u||
     is within half the tolerance, or after max_iter steps, or when the pairing
-    <u_+^{p-1}, u> is not positive (that failed step still counts).  The buffers
+    <u_+^{p-1}, u> is not positive (that failed step still counts); each of the
+    pass's four sums (||u||^2, the pairing, Q(u) and the residual) is one plain dot
+    of half spectra, by Parseval.  The buffers
     are released before the state is finalized.  Deterministic for a fixed
     configuration, with the same bits under one or two OpenBLAS threads at 2D
     N <= 256 and 3D N <= 128 (model._dct1).  Raises BlowUpError when the iterate's
@@ -202,39 +207,48 @@ def solve_ground_state(params: PhysParams, grid: Grid,
     M = relativistic_multiplier(init.grid, params)
     layout, u = init.grid, nehari_project(init, M, params)[1].values  # the loop's own array
     del init  # a cold start's Gaussian is not kept through the loop
-    inv_D = M.table  # A + mu, then its reciprocal, in the symbol table's place
+    # V is u's unnormalized half spectrum over g in Parseval-root form (_parseval_root):
+    # _inverse of V with its ends restored is u.  Each sum of a pass is then one plain
+    # dot times a constant, h^n sum(a b) = c sum(A B) for spectra so scaled, and the
+    # tables carry g, so that neither g nor fourier_scale costs a pass over an array.
+    g, c = layout.transform_gain, layout.root_dot_weight
+    step = M.table  # g (A + mu), then 1 / (g (A + mu)) with the ends restored, in place
     del M
-    inv_D += params.mu
-    sqrt_D = np.sqrt(inv_D)
-    np.reciprocal(inv_D, out=inv_D)
-    U = to_spectral(RealField(layout, u)).coeffs
-    nl, NL = np.empty_like(u), np.empty_like(U)
+    step += params.mu
+    step *= g
+    sqrt_gD = np.sqrt(step)
+    np.reciprocal(step, out=step)
+    _parseval_root(step, layout, 1.0 / ROOT_HALF)
+    V = _parseval_root(_forward(u, layout), layout)
+    V *= 1.0 / g  # g is a power of two
+    nl, NL = np.empty_like(u), np.empty_like(V)
     reason = "max_iter"
     for it in range(cfg.max_iter + 1):
-        u_sq = sample_dot(layout, u, u)
+        u_sq = c * g * g * _re_dot(V, V)  # h^n sum(u u), by Parseval
         if u_sq > BLOWUP_NORM**2:  # before the power, which would overflow first
             raise BlowUpError(f"iterate norm exceeded {BLOWUP_NORM:.0e}")
         clamped_power(u, params.p, out=nl)
-        to_spectral(RealField(layout, nl), out=NL)
-        U *= sqrt_D
-        q = weighted_power(SpectralField(layout, U))
-        U *= sqrt_D
-        U -= NL
-        res_sq = weighted_power(SpectralField(layout, U))
+        _parseval_root(_forward(nl, layout, out=NL), layout)
+        pairing = c * g * _re_dot(NL, V)  # <u_+^{p-1}, u>
+        V *= sqrt_gD
+        q = c * g * _re_dot(V, V)  # Q(u)
+        V *= sqrt_gD
+        V -= NL  # (A + mu) u - u_+^{p-1}, in NL's scale
+        res_sq = c * _re_dot(V, V)
         if u_sq > 0.0 and math.sqrt(res_sq / u_sq) <= 0.5 * cfg.tol_residual:
             reason = "converged"
             break
         if it == cfg.max_iter:
             break
-        pairing = sample_dot(layout, nl, u)
         if pairing <= 0.0 or not math.isfinite(pairing):
             reason, it = "pairing_collapse", it + 1
             break
         with np.errstate(over="ignore", invalid="ignore"):  # blow-up is caught below
-            np.multiply(NL, (q / pairing) ** gamma, out=U)
-            U *= inv_D  # numpy divides complex by real as a product with 1 / (A + mu): same bits
-        if not np.all(np.isfinite(U)):
+            np.multiply(NL, (q / pairing) ** gamma, out=V)
+            V *= step
+        if not np.all(np.isfinite(V)):
             raise BlowUpError("iterate became non-finite")
-        to_physical(SpectralField(layout, U), out=u, work=NL)  # NL is refilled next pass
-    del U, nl, NL, sqrt_D, inv_D
+        _inverse(V, layout, out=u, work=NL)  # NL is refilled next pass
+        _parseval_root(V, layout)
+    del V, nl, NL, sqrt_gD, step
     return _finalize(RealField(layout, u), params, cfg, it, reason)

@@ -58,12 +58,17 @@ def odd_power(values: np.ndarray, p: float) -> np.ndarray:
 
 
 def clamped_power(values: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
-    """max(u, 0)^{p-1}; the solver's positivity-constrained nonlinearity.
+    """max(u, 0)^{p-1}, +0.0 where u <= 0; the solver's positivity-constrained nonlinearity.
 
     out, an array of the shape of values, receives the result in place of a new array.
     """
-    power = _signed_pow(np.maximum(values, 0.0, out=out), p - 1.0, values)
-    power += 0.0  # u < 0 gave -0.0
+    base = np.maximum(values, 0.0, out=out)  # +0.0 where u <= 0
+    if p == 3.0:  # b * b is b * u, the bits odd_power takes, for u > 0
+        return np.multiply(base, base, out=base)
+    if p != 2.5:
+        return np.power(base, p - 1.0, out=base)
+    power = _signed_pow(base, 1.5, values)
+    power += 0.0  # sqrt(b) * u: u < 0 gave -0.0
     return power
 
 

@@ -10,7 +10,7 @@ import pytest
 import prnls as P
 import prnls.solver as solver
 from conftest import full_box, interpolate_to, peak_fields
-from prnls.model import fold_even, shared_grid, warn_if_poorly_truncated
+from prnls.model import fold_even, sample_dot, shared_grid, warn_if_poorly_truncated
 from prnls.solver import SolverConfig
 from prnls.sweep import make_record
 from prnls.variational import clamped_power
@@ -244,6 +244,43 @@ class TestSolve:
         assert np.min(gs.field.values) >= -1e-10 * np.max(gs.field.values)
 
 
+class TestLoopSums:
+    """The loop's four sums per pass, each one plain dot of spectra in Parseval-root
+    form times a constant, against sample_dot and weighted_power of the iterate the
+    pass saw: on the even layout and on the full box, in 2D at N = 256 and in 3D at
+    N = 64.  No perfbench workload runs the full-box loop."""
+
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "full"])
+    @pytest.mark.parametrize("n, N", [(2, 256), (3, 64)])
+    def test_dots_are_the_weighted_sums(self, n, N, even, monkeypatch):
+        pp = P.PhysParams(m=1.0, mu=1.0, c=4.0, p=3.0 if n == 2 else 2.5, n=n)
+        g = P.make_grid(n, 32.0, N)
+        start = P.gaussian_field(g, 2.0).values
+        init = P.RealField(g, start if even else np.roll(start, 1, axis=0))
+        iterates, dots = [], []
+        power, dot = solver.clamped_power, solver._re_dot
+        monkeypatch.setattr(solver, "clamped_power",
+                            lambda u, p, out: iterates.append(u.copy()) or power(u, p, out=out))
+        monkeypatch.setattr(solver, "_re_dot", lambda a, b: dots.append(dot(a, b)) or dots[-1])
+        gs = P.solve_ground_state(pp, g, SolverConfig(init_field=init, max_iter=1))
+        layout = gs.field.grid
+        assert layout.even == even and len(iterates) == 2 and len(dots) == 8
+        gain, c = layout.transform_gain, layout.root_dot_weight
+        D = P.relativistic_multiplier(layout, pp).table + pp.mu
+        for u, (u_dot, pairing_dot, q_dot, res_dot) in zip(iterates, np.reshape(dots, (2, 4))):
+            nl = clamped_power(u, pp.p)
+            U = P.to_spectral(P.RealField(layout, u))
+            R = U.coeffs * D - P.to_spectral(P.RealField(layout, nl)).coeffs
+            want = {"u_sq": (c * gain * gain * u_dot, sample_dot(layout, u, u),
+                             P.weighted_power(U)),
+                    "pairing": (c * gain * pairing_dot, sample_dot(layout, nl, u)),
+                    "q": (c * gain * q_dot, P.weighted_power(U, D)),
+                    "res_sq": (c * res_dot, P.weighted_power(P.SpectralField(layout, R)))}
+            for name, (got, *refs) in want.items():
+                for ref in refs:
+                    assert got == pytest.approx(ref, rel=1e-13), name
+
+
 class TestMemory:
     """tracemalloc peaks in real fields (8 N^n bytes), measured above the inputs by
     conftest.peak_fields, in 2D at N = 256 and in 3D at N = 64."""
@@ -276,6 +313,9 @@ class TestMemory:
     #: peak at 3.30 / 2.28; 2.79 / 2.06 while the state was mirrored
     #: into a second full-box grid, whose xi_sq table is 0.5 field in 2D.  With hfft
     #: transforms, which copied and padded their input, the loop set 2D's peak at 3.81.
+    #: Re-measured when the loop's sums became plain dots of its spectra: 2.42 / 1.24,
+    #: unchanged, as the loop holds the same four buffers and two tables; its peak is
+    #: the work array each forward DCT-I allocates, one even-layout array above them.
     EVEN_LOOP = (2.42, 1.24)
     MARGIN = 0.25
 
@@ -310,7 +350,9 @@ class TestMemory:
         # A whole solve on the full box, _finalize included, from a Gaussian rolled
         # one cell off the mirror symmetry, so that the loop runs on the full box and
         # _finalize shifts the state back to the center.  Measured: 5.28 (2D) and
-        # 5.22 (3D), set in the loop, with center shifting in place; 6.17 and 6.22,
+        # 5.19 (3D), set in the loop, whose sums are plain dots of its spectra; 5.28
+        # and 5.22 while they were sample_dot and weighted_power, with center
+        # shifting in place; 6.17 and 6.22,
         # set in center, while it built a full-size phase table; the loop alone
         # measured 6.66 and 6.74 before the cold start's Gaussian was dropped after
         # the projection and energy's residual formed in place; 7.66 and 7.74 with
@@ -332,7 +374,7 @@ class TestMemory:
 
     @pytest.mark.parametrize("n, N", [(2, 256), (3, 64)])
     def test_even_loop_peak(self, n, N, monkeypatch):
-        # the full-box loop measures 5.28 / 5.22 above, so this gate also shows that
+        # the full-box loop measures 5.28 / 5.19 above, so this gate also shows that
         # a cold start's loop ran on the even layout
         short, long, short_solve, long_solve = self.loop_peaks(n, N, monkeypatch)
         assert long == pytest.approx(short, abs=0.05)

@@ -162,6 +162,12 @@ class TestRunSweep:
         errs = [r.err_h1 for r in sweep_result.records]
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
+    def test_default_sweep_iterations(self, sweep_result):
+        # the iteration column, c = 1 ... 32 and then the limit, as perfbench's seed-0
+        # sweep-2d pins it: a change to the loop's arithmetic that moves a count fails here
+        iterations = [r.iterations for r in sweep_result.all_records()]
+        assert iterations == [93, 60, 48, 43, 39, 36, 49]
+
     def test_nonconverged_rows_flagged_but_sweep_continues(self):
         from prnls.solver import SolverConfig
 

@@ -4,7 +4,7 @@ import pytest
 import prnls as P
 from conftest import even_bump, full_box, unfold_even
 from prnls.model import fold_even, sample_dot
-from prnls.variational import lp_integral
+from prnls.variational import clamped_power, lp_integral
 
 
 def cos_mode(grid):
@@ -191,6 +191,25 @@ class TestEvenLayout:
         assert got.lp == lp_integral(u, pp.p)
         assert proj_got.grid == g
         assert np.array_equal(proj_got.values, t_got * u.values)
+
+
+class TestClampedPower:
+    #: the signed powers clamped_power once took for each p, before a final += 0.0 turned
+    #: the -0.0 of u < 0 into +0.0: b * u, sqrt(b) * u and copysign(b^{p-1}, u), b = max(u, 0)
+    SIGNED = {3.0: lambda b, u: b * u, 2.5: lambda b, u: np.sqrt(b) * u,
+              2.7: lambda b, u: np.copysign(np.power(b, 2.7 - 1.0), u)}
+
+    @pytest.mark.parametrize("p", sorted(SIGNED))
+    def test_bits_of_the_signed_power_with_positive_zeros(self, p):
+        rng = np.random.default_rng(3)
+        u = np.concatenate([rng.standard_normal(4093), [0.0, -0.0, -5e-324, 5e-324, -1e150]])
+        want = self.SIGNED[p](np.maximum(u, 0.0), u) + 0.0
+        out = np.empty_like(u)
+        got = clamped_power(u, p, out=out)
+        assert got is out
+        np.testing.assert_array_equal(got, want)
+        assert not np.signbit(got).any()  # +0.0 on u <= 0, -0.0 included
+        assert np.array_equal(clamped_power(u, p), got)
 
 
 def nehari_level(f, M, params):
