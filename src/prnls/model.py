@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,13 +71,13 @@ class Grid:
 
     even is the solve loop's layout of a field mirror-even about the center
     (fold_even): N/2 + 1 samples per axis at offsets 0..N/2, a real spectrum at
-    xi = 2 pi k / L, k = 0..N/2, mirror_weight, w = (1, 2, ..., 2, 1) per axis multiplied
-    out, the box points each entry stands for, and the matrices of one axis's DCT-I,
-    C[k, j] = w_j cos(pi jk / (N/2)), with C C = N I: cosine_matrix, C itself, on axes
-    of fewer than RADIX2_MIN_POINTS points, and cosine_halves on longer ones, the pair
-    (E, O) of C's even rows and odd rows after one radix-2 step (_dct1); the other is
-    None.  The transforms, sums, symbol tables, offsets and seam follow it;
-    axis_coordinates and center_coordinate do not.
+    xi = 2 pi k / L, k = 0..N/2, and cosine, the matrices of one axis's DCT-I,
+    C[k, j] = w_j cos(pi jk / (N/2)), w = (1, 2, ..., 2, 1), with C C = N I: C itself
+    on axes of fewer than RADIX2_MIN_POINTS points, and on longer ones the pair (E, O)
+    of C's even rows and odd rows after one radix-2 step (_dct1); None on the full box.
+    Each entry of an even-layout axis stands for w of the box's points, so its sums
+    weigh every axis by w (parseval_axes).  The transforms, sums, symbol tables,
+    offsets and seam follow it; axis_coordinates and center_coordinate do not.
     """
 
     n: int
@@ -86,9 +86,7 @@ class Grid:
     even: bool = False
     h: float = field(init=False, repr=False, compare=False)
     xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
-    mirror_weight: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    cosine_matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    cosine_halves: tuple[np.ndarray, np.ndarray] | None = field(
+    cosine: np.ndarray | tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -104,12 +102,8 @@ class Grid:
         axes = [half] * self.n if self.even else [freqs] * (self.n - 1) + [half]
         object.__setattr__(self, "xi_sq", sum_of_squares(axes))
         if self.even:
-            edge = np.r_[1.0, np.full(self.N // 2 - 1, 2.0), 1.0]
-            object.__setattr__(self, "mirror_weight", reduce(np.multiply.outer, [edge] * self.n))
-            if self.N // 2 + 1 < RADIX2_MIN_POINTS:
-                object.__setattr__(self, "cosine_matrix", cosine_matrix(self.N))
-            else:
-                object.__setattr__(self, "cosine_halves", cosine_halves(self.N))
+            split = self.N // 2 + 1 >= RADIX2_MIN_POINTS
+            object.__setattr__(self, "cosine", (cosine_halves if split else cosine_matrix)(self.N))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -142,11 +136,17 @@ class Grid:
         return self.N**self.n if self.even else 1
 
     @property
+    def parseval_axes(self) -> tuple[int, ...]:
+        """Axes whose half-spectrum sums weigh inner entries 2 and the two ends 1: every
+        axis on the even layout (its samples weigh so too), the last on the full box."""
+        return tuple(range(self.n)) if self.even else (self.n - 1,)
+
+    @property
     def root_dot_weight(self) -> float:
         """c with h^n sum over the box of a * b == c Re sum(conj(A) B), for A and B the
         unnormalized spectra (_forward) of a and b in Parseval-root form
-        (_parseval_root): 2^k h^n / N^n, k the number of Parseval-weighted axes."""
-        return 2.0 ** (self.n if self.even else 1) * self.cell_volume / self.N**self.n
+        (_parseval_root): 2^k h^n / N^n, k the number of parseval_axes."""
+        return 2.0 ** len(self.parseval_axes) * self.cell_volume / self.N**self.n
 
     @property
     def center_coordinate(self) -> float:
@@ -271,7 +271,7 @@ def _forward(x: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.nda
     when None): a DCT-I per axis on the even layout (_dct1), rfftn on the full box.
     to_spectral scales it by fourier_scale; the solve loop calls it on its own buffers."""
     if grid.even:
-        return _dct1(x, grid.cosine_halves or grid.cosine_matrix, out)
+        return _dct1(x, grid.cosine, out)
     return np.fft.rfftn(x, out=out)
 
 
@@ -286,7 +286,7 @@ def _inverse(X: np.ndarray, grid: Grid, out: np.ndarray | None = None,
     irfftn's own order, and the last axis by irfft into out: the same steps irfftn
     takes, so the same bits, without its complex temporary per leading axis."""
     if grid.even:
-        return _dct1(X, grid.cosine_halves or grid.cosine_matrix, out, work)
+        return _dct1(X, grid.cosine, out, work)
     if work is None:
         work = np.empty(grid.spectral_shape, dtype=np.complex128)
     src = X
@@ -297,17 +297,16 @@ def _inverse(X: np.ndarray, grid: Grid, out: np.ndarray | None = None,
 
 
 def _parseval_root(F: np.ndarray, grid: Grid, factor: float = ROOT_HALF) -> np.ndarray:
-    """F, a half spectrum on grid, with the zero- and Nyquist-frequency ends of every
-    Parseval-weighted axis (each axis on the even layout, the last on the full box)
-    multiplied by factor in place.
+    """F, a half spectrum on grid, with the zero- and Nyquist-frequency ends of each of
+    grid.parseval_axes multiplied by factor in place.
 
-    weighted_power's weight is 2 on the inner entries of such an axis and 1 on its
-    two ends, so after the default 1/sqrt(2) every weighted sum over the half spectrum
-    is 2^k times a plain one (k weighted axes; Grid.root_dot_weight).  A factor of
-    sqrt(2) undoes it, up to roundoff.  Each end is its own slice: one slice taking
-    both, with a step of N/2, took 14.5 against 5.2 us on the last axis at 33^3
-    (inner loops of 2 entries; one core, numpy 2.4.6)."""
-    for axis in range(grid.n) if grid.even else (grid.n - 1,):
+    Sums weigh the inner entries of such an axis 2 and its two ends 1, so after the
+    default 1/sqrt(2) every weighted sum over the half spectrum is 2^k times a plain
+    one (k weighted axes; Grid.root_dot_weight), as after 1/2 on one operand
+    (_weighted_dot).  A factor of sqrt(2) undoes 1/sqrt(2), up to roundoff.  Each end
+    is its own slice: one slice taking both, with a step of N/2, took 14.5 against
+    5.2 us on the last axis at 33^3 (inner loops of 2 entries; one core, numpy 2.4.6)."""
+    for axis in grid.parseval_axes:
         lead = (slice(None),) * axis
         F[lead + (0,)] *= factor
         F[lead + (-1,)] *= factor
@@ -319,7 +318,7 @@ def _dct1(x: np.ndarray, C: np.ndarray | tuple[np.ndarray, np.ndarray],
     """DCT-I on every axis into out, with work (real, or a complex array's real part)
     for the partial products; each is allocated when None, and work may be x itself.
 
-    C is the grid's cosine_matrix or its cosine_halves.  A matrix is applied as one
+    C is the grid's cosine: a matrix or a pair.  A matrix is applied as one
     GEMM per axis, into work and out in turn, the last axis into out.  A pair (E, O)
     takes one radix-2 step on each axis first (_dct1_radix2): (N/4+1)^2 + (N/4)^2
     multiply-adds per column in place of (N/2+1)^2.  Per transform, with one BLAS
@@ -398,10 +397,16 @@ def _re_dot(a: np.ndarray, b: np.ndarray) -> np.float64:
     return np.einsum("i,i->", x, y)
 
 
+def _weighted_dot(grid: Grid, wa: np.ndarray, b: np.ndarray) -> np.float64:
+    """Re sum(w conj(wa) b), w = (1, 2, ..., 2, 1) on each of grid.parseval_axes multiplied
+    out, to the bit: wa's axis ends halved in place, times 2^k (exact) in a plain dot."""
+    return 2.0 ** len(grid.parseval_axes) * _re_dot(_parseval_root(wa, grid, 0.5), b)
+
+
 def sample_dot(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.float64:
-    """h^n * sum over the box of a * b, for samples a and b in grid's layout: every
-    physical-space integral, as weighted_power is every spectral one."""
-    return grid.cell_volume * _re_dot(grid.mirror_weight * a if grid.even else a, b)
+    """h^n * sum over the box of a * b, samples in grid's layout (a may be b; neither
+    changes): every physical-space integral, as weighted_power is every spectral one."""
+    return grid.cell_volume * (_weighted_dot(grid, a.copy(), b) if grid.even else _re_dot(a, b))
 
 
 def weighted_power(f: RealField | SpectralField, weight=None) -> float:
@@ -409,20 +414,14 @@ def weighted_power(f: RealField | SpectralField, weight=None) -> float:
     every Sobolev norm and quadratic form.  f is a spectrum at hand, or real samples
     transformed first; weight is a real table on the half spectrum.
 
-    The Parseval column weight is 2 on interior columns, which also stand for their
-    conjugate partners, and 1 on the zero and Nyquist columns, which hold their own:
-    twice the sum over the half spectrum, less the two edge columns once.  Each sum
-    is a dot product, Re <weight * f_hat, f_hat>.  The even layout weights every
-    axis so, by the grid's mirror_weight.
+    Each entry of the half spectrum stands for the modes it holds on the full lattice:
+    along each of grid.parseval_axes, 2 on the inner entries and 1 on the two ends
+    (on the full box, inner columns also stand for their conjugate partners).  The sum
+    is one dot product, Re <weight * f_hat, f_hat> with those weights (_weighted_dot).
     """
     F = (f if isinstance(f, SpectralField) else to_spectral(f)).coeffs
-    wF = F if weight is None else weight * F
-    if f.grid.even:
-        total = _re_dot(f.grid.mirror_weight * wF, F)
-    else:
-        total = (2.0 * _re_dot(wF, F) - _re_dot(wF[..., 0], F[..., 0])
-                 - _re_dot(wF[..., -1], F[..., -1]))
-    return float(f.grid.spectral_weight * total)
+    wF = F.copy() if weight is None else weight * F
+    return float(f.grid.spectral_weight * _weighted_dot(f.grid, wF, F))
 
 
 def norm_h1(f: RealField | SpectralField) -> float:

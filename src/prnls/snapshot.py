@@ -82,8 +82,11 @@ def load_field(path: str | Path) -> tuple[RealField, dict]:
         header_line = fh.readline()
         payload = fh.read()
     head = json.loads(header_line.decode("ascii"))
-    # one grid per box and layout, not per file
-    grid = shared_grid(head["n"], float(head["L"]), int(head["N"]), bool(head.get("even", False)))
+    for key, kind in (("n", int), ("N", int), ("even", bool)):
+        if type(head.get(key, kind())) is not kind:  # 64.7, 2.0, "64", true and "no" fail
+            raise ValueError(f"{path}: header {key!r} is {head[key]!r}, not a JSON {kind.__name__}")
+    # one grid per box and layout, not per file; a header without "even" is the full box's
+    grid = shared_grid(head["n"], float(head["L"]), head["N"], head.get("even", False))
     expected = math.prod(grid.shape) * 8
     if len(payload) != expected:
         raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {expected}")

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import prnls as P
 from conftest import interpolate_to, peak_fields, unfold_even
-from prnls.model import (RADIX2_MIN_POINTS, _dct1, boundary_max_ratio, cosine_halves,
+from prnls.model import (RADIX2_MIN_POINTS, _dct1, _re_dot, boundary_max_ratio, cosine_halves,
                          cosine_matrix, derivative_freqs, fold_even, sample_dot, shared_grid,
                          sum_of_squares)
 
@@ -268,8 +269,8 @@ class TestCosineTransform:
     radix-2 step on axes of 129 points or more."""
 
     def test_matrix_is_its_own_inverse_up_to_N(self):
-        assert P.make_grid(2, 16.0, 64).cosine_matrix is None
-        C = dataclasses.replace(P.make_grid(2, 16.0, 64), even=True).cosine_matrix
+        assert P.make_grid(2, 16.0, 64).cosine is None
+        C = dataclasses.replace(P.make_grid(2, 16.0, 64), even=True).cosine
         assert C.shape == (33, 33)
         np.testing.assert_allclose(C @ C, 64.0 * np.eye(33), rtol=0, atol=1e-12)
 
@@ -290,10 +291,13 @@ class TestCosineTransform:
 
     @pytest.mark.parametrize("N, split", [(128, False), (256, True), (512, True)])
     def test_grid_holds_the_matrices_of_its_axis_length(self, N, split):
+        # one field, Grid.cosine: the pair (E, O) from RADIX2_MIN_POINTS on, C below it
         g = shared_grid(2, 16.0, N, True)
-        assert (g.cosine_halves is not None, g.cosine_matrix is None) == (split, split)
+        assert isinstance(g.cosine, tuple) == split
+        got, want = (g.cosine, cosine_halves(N)) if split else ((g.cosine,), (cosine_matrix(N),))
+        assert len(got) == len(want) and all(map(np.array_equal, got, want))
         assert (N // 2 + 1 >= RADIX2_MIN_POINTS) == split
-        assert P.make_grid(2, 16.0, N).cosine_halves is None
+        assert P.make_grid(2, 16.0, N).cosine is None
 
     @pytest.mark.parametrize("n, N", [(2, 16), (2, 128), (2, 256), (2, 512), (3, 16), (3, 64),
                                       (3, 128)])
@@ -437,3 +441,31 @@ class TestEvenLayout:
         F = P.to_spectral(folded, out=np.empty(g.spectral_shape))
         back = P.to_physical(F, out=np.empty(g.shape))
         assert np.max(np.abs(back.values - folded.values)) <= 1e-14 * np.max(np.abs(folded.values))
+
+
+class TestParsevalWeighting:
+    """The even layout's sums against the weight table they once multiplied by: w =
+    (1, 2, ..., 2, 1) per axis multiplied out, the box points each entry stands for."""
+
+    @staticmethod
+    def mirror_weight(g):
+        edge = np.r_[1.0, np.full(g.N // 2 - 1, 2.0), 1.0]
+        return functools.reduce(np.multiply.outer, [edge] * g.n)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n, N", [(2, 256), (3, 64)])
+    def test_sums_equal_the_weight_table_formula_to_the_bit(self, n, N, seed):
+        g = shared_grid(n, 32.0, N, True)
+        W = self.mirror_weight(g)
+        rng = np.random.default_rng(seed)
+        a, b, F = (rng.standard_normal(g.shape) for _ in range(3))
+        D = 1.0 + g.xi_sq
+        kept = [v.copy() for v in (a, b, F)]
+        spectrum = P.SpectralField(g, F)
+        assert sample_dot(g, a, b) == g.cell_volume * _re_dot(W * a, b)
+        assert sample_dot(g, a, a) == g.cell_volume * _re_dot(W * a, a)
+        assert P.weighted_power(spectrum, D) == float(g.spectral_weight * _re_dot(W * (D * F), F))
+        assert P.weighted_power(spectrum) == float(g.spectral_weight * _re_dot(W * F, F))
+        # no sum scales its caller's arrays in place, one array passed twice included
+        assert all(map(np.array_equal, (a, b, F), kept))
+        assert np.array_equal(spectrum.coeffs, F) and np.array_equal(D, 1.0 + g.xi_sq)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,17 @@ def test_header_without_layout_loads_as_full_box(tmp_path, grid, params_inf):
     back, head = P.load_field(path)
     assert "even" not in head and back.grid == grid and not back.grid.even
     assert np.array_equal(back.values, f.values)
+
+
+@pytest.mark.parametrize("key, value", [("N", 64.7), ("N", "64"), ("n", 2.0), ("n", True),
+                                        ("even", "no"), ("even", 1)])
+def test_header_grid_values_of_the_wrong_json_type_rejected(tmp_path, grid, params_inf, key,
+                                                            value):
+    # 64.7 loaded as N = 64, and "64" and 2.0 loaded too, while the loader converted them
+    path = P.save_field(tmp_path / "bad.f64", P.gaussian_field(grid, 2.0), params_inf)
+    rewrite_header(path, **{key: value})
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header '{key}' is "):
+        P.load_field(path)
 
 
 @pytest.mark.parametrize("layout", ["even", "full"])

@@ -300,7 +300,10 @@ class TestMemory:
     #: occupied bins of both tables out to subtract them.  center, the Fourier shift
     #: of an off-center state, measured 5.17 / 5.22 while it built a full-size phase
     #: table and multiplied out of place.
-    MEASURED = {"energy": (1.02, 0.55), "make_record": (1.27, 0.55),
+    #: energy and make_record measured 0.55 / 0.55 in 3D while the even grid held a
+    #: full-size mirror_weight table (0.14 field), which sample_dot and weighted_power
+    #: multiplied into a temporary; 2D's peaks are set elsewhere and did not move.
+    MEASURED = {"energy": (1.02, 0.43), "make_record": (1.27, 0.42),
                 "energy_off_center": (2.77, 2.67), "make_record_off_center": (3.02, 3.06),
                 "radial_scatter": (1.27, 0.21), "radial_scatter_off_center": (2.01, 1.08),
                 "center": (2.15, 2.16)}
@@ -316,8 +319,15 @@ class TestMemory:
     #: Re-measured when the loop's sums became plain dots of its spectra: 2.42 / 1.24,
     #: unchanged, as the loop holds the same four buffers and two tables; its peak is
     #: the work array each forward DCT-I allocates, one even-layout array above them.
-    EVEN_LOOP = (2.42, 1.24)
+    #: 2.42 / 1.24 while the even grid held a full-size mirror_weight table.
+    EVEN_LOOP = (2.17, 1.10)
     MARGIN = 0.25
+    #: what an even Grid holds once built (2D, 3D): its xi_sq table and its cosine
+    #: matrices, the pair (E, O) in 2D; 0.636 / 0.279 while it also held a full-size
+    #: mirror_weight table.  A byte count, not a peak: gated at GRID_MARGIN, well
+    #: below that table (0.25 / 0.14 field).
+    EVEN_GRID = (0.382, 0.141)
+    GRID_MARGIN = 0.02
 
     @staticmethod
     def setting(n, N, c=math.inf):
@@ -379,6 +389,17 @@ class TestMemory:
         short, long, short_solve, long_solve = self.loop_peaks(n, N, monkeypatch)
         assert long == pytest.approx(short, abs=0.05)
         assert max(long, short_solve, long_solve) <= self.EVEN_LOOP[n - 2] + self.MARGIN
+
+    @pytest.mark.parametrize("n, N", [(2, 256), (3, 64)])
+    def test_even_grid_holds_only_its_tables(self, n, N):
+        P.Grid(n, 32.0, N, True)  # warm-up: first calls into numpy may keep caches of their own
+        tracemalloc.start()
+        try:
+            g = P.Grid(n, 32.0, N, True)
+            held = tracemalloc.get_traced_memory()[0] / (8 * N**n)
+        finally:
+            tracemalloc.stop()
+        assert g.even and held <= self.EVEN_GRID[n - 2] + self.GRID_MARGIN
 
     @pytest.mark.parametrize("step", sorted(MEASURED))
     @pytest.mark.parametrize("n, N", [(2, 256), (3, 64)])

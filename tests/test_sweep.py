@@ -178,12 +178,13 @@ class TestRunSweep:
 
     def test_sweep_peak_is_below_the_full_box_sweeps(self, tmp_path):
         # every loop here runs on the even layout, and every state stays there through
-        # its records and snapshot; measured 2.26 fields in 3D (N = 32) and 3.78 in 2D
-        # (N = 128).  In 3D: 4.92 while each state was unfolded to the full box, where
+        # its records and snapshot; measured 2.11 fields in 3D (N = 32) and 3.44 in 2D
+        # (N = 128), 2.26 and 3.78 while the even grid held a full-size mirror_weight
+        # table.  In 3D: 4.92 while each state was unfolded to the full box, where
         # _finalize's centering set the peak, 5.19 while _finalize's energy sliced a
         # full-box table, 7.25 while energy and make_record ran on the full box, and
         # 8.25 where the full-box loops set it; 6.53 in 2D while states were unfolded
-        for n, p, N, measured in ((3, 2.5, 32, 2.26), (2, 3.0, 128, 3.78)):
+        for n, p, N, measured in ((3, 2.5, 32, 2.11), (2, 3.0, 128, 3.44)):
             cfg = RunConfig(n=n, p=p, N=N, c_schedule=(1.0, 4.0), output_dir=str(tmp_path),
                             solver=SolverConfig(tol_residual=1e-14, max_iter=3))
             shared_grid.cache_clear()
