@@ -72,9 +72,10 @@ class Grid:
     even is the solve loop's layout of a field mirror-even about the center
     (fold_even): N/2 + 1 samples per axis at offsets 0..N/2, a real spectrum at
     xi = 2 pi k / L, k = 0..N/2, and cosine, the matrices of one axis's DCT-I,
-    C[k, j] = w_j cos(pi jk / (N/2)), w = (1, 2, ..., 2, 1), with C C = N I: C itself
-    on axes of fewer than RADIX2_MIN_POINTS points, and on longer ones the pair (E, O)
-    of C's even rows and odd rows after one radix-2 step (_dct1); None on the full box.
+    C[k, j] = w_j cos(pi jk / (N/2)), w = (1, 2, ..., 2, 1), with C C = N I: C itself,
+    stored column-major so that C^T is row-major for the last axis's product, on axes
+    of fewer than RADIX2_MIN_POINTS points, and on longer ones the pair (E, O) of C's
+    even rows and odd rows after one radix-2 step (_dct1); None on the full box.
     Each entry of an even-layout axis stands for w of the box's points, so its sums
     weigh every axis by w (parseval_axes).  The transforms, sums, symbol tables,
     offsets and seam follow it; axis_coordinates and center_coordinate do not.
@@ -103,7 +104,8 @@ class Grid:
         object.__setattr__(self, "xi_sq", sum_of_squares(axes))
         if self.even:
             split = self.N // 2 + 1 >= RADIX2_MIN_POINTS
-            object.__setattr__(self, "cosine", (cosine_halves if split else cosine_matrix)(self.N))
+            C = cosine_halves(self.N) if split else np.asfortranarray(cosine_matrix(self.N))
+            object.__setattr__(self, "cosine", C)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -266,12 +268,15 @@ def to_physical(F: SpectralField, out: np.ndarray | None = None,
     return RealField(F.grid, values)
 
 
-def _forward(x: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+def _forward(x: np.ndarray, grid: Grid, out: np.ndarray | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
     """The unnormalized forward transform of samples x on grid into out (allocated
-    when None): a DCT-I per axis on the even layout (_dct1), rfftn on the full box.
-    to_spectral scales it by fourier_scale; the solve loop calls it on its own buffers."""
+    when None): a DCT-I per axis on the even layout (_dct1), whose partial products
+    go to work as in _inverse (x itself when x is free), rfftn on the full box, which
+    takes no work.  to_spectral scales it by fourier_scale; the solve loop calls it on
+    its own buffers."""
     if grid.even:
-        return _dct1(x, grid.cosine, out)
+        return _dct1(x, grid.cosine, out, work)
     return np.fft.rfftn(x, out=out)
 
 
@@ -316,27 +321,34 @@ def _parseval_root(F: np.ndarray, grid: Grid, factor: float = ROOT_HALF) -> np.n
 def _dct1(x: np.ndarray, C: np.ndarray | tuple[np.ndarray, np.ndarray],
           out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """DCT-I on every axis into out, with work (real, or a complex array's real part)
-    for the partial products; each is allocated when None, and work may be x itself.
+    for the partial products; each is allocated when None.  work may be x itself: for
+    an odd n it then takes the products, and for an even n, whose first axis writes
+    work while x is still read, a new array takes them.
 
-    C is the grid's cosine: a matrix or a pair.  A matrix is applied as one
-    GEMM per axis, into work and out in turn, the last axis into out.  A pair (E, O)
-    takes one radix-2 step on each axis first (_dct1_radix2): (N/4+1)^2 + (N/4)^2
-    multiply-adds per column in place of (N/2+1)^2.  Per transform, with one BLAS
-    thread (2 cores, numpy 2.4.6), the step took 109 against 153 us at 129^2 (2D,
-    N = 256) and 672 against 992 us at 257^2, and lost at 65^2 (30 against 20 us),
-    33^3 (208 against 145 us) and 65^3 (2.74 against 1.89 ms): hence
-    RADIX2_MIN_POINTS.  OpenBLAS gives the same bits under one and two threads at
-    every size here but 257^2, whose 129-square products it threads.
+    C is the grid's cosine: a matrix or a pair.  A matrix, stored column-major, is
+    applied as one GEMM per axis, into work and out in turn: each leading axis by
+    the last, then the last axis as x C^T into out, a plain batched product as C^T is
+    row-major (as C x with a transposed operand and output it took 90 us at 33^3,
+    twice a leading axis's 48 us, and the transform 189 us in place of 140).  A pair
+    (E, O) takes one radix-2 step on each axis first (_dct1_radix2): (N/4+1)^2 +
+    (N/4)^2 multiply-adds per column in place of (N/2+1)^2.  Per transform, with one
+    BLAS thread (2 cores, numpy 2.4.6), the step took 133 against 195 us at 129^2 (2D,
+    N = 256) and 0.87 against 1.34 ms at 257^2, and lost at 65^2 (44 against 23 us),
+    33^3 (260 against 140 us) and 65^3 (3.5 against 2.2 ms): hence RADIX2_MIN_POINTS.
+    OpenBLAS gives the same bits under one and two threads at every size here but
+    257^2, whose 129-square products it threads.
     """
     out = np.empty_like(x) if out is None else out
-    work = np.empty_like(x) if work is None else work.real
+    last = x.ndim - 1
+    if work is None or (last % 2 == 1 and np.may_share_memory(x, work)):
+        work = np.empty_like(x)
+    work = work.real
     if isinstance(C, tuple):
         return _dct1_radix2(x, *C, out, work)
-    for axis in range(x.ndim):
-        y = out if (x.ndim - 1 - axis) % 2 == 0 else work
-        core = (axis, -1 if axis < x.ndim - 1 else -2)  # GEMM rows: that axis; columns: another
-        x = np.matmul(C, x, out=y, axes=[(0, 1), core, core])
-    return x
+    for axis in range(last):  # GEMM rows: that axis; columns: the last
+        y = out if (last - axis) % 2 == 0 else work
+        x = np.matmul(C, x, out=y, axes=[(0, 1), (axis, -1), (axis, -1)])
+    return np.matmul(x, C.T, out=out)  # C.T row-major: one plain batched product
 
 
 def _dct1_radix2(x: np.ndarray, E: np.ndarray, O: np.ndarray, out: np.ndarray,
@@ -353,8 +365,6 @@ def _dct1_radix2(x: np.ndarray, E: np.ndarray, O: np.ndarray, out: np.ndarray,
     writes alternate between out and work and end in out."""
     h, K = O.shape[0], 2 * O.shape[0]
     a, b = (work, out) if x.ndim % 2 == 0 else (out, work)
-    if np.may_share_memory(x, a):  # work passed as x: the first copy would overwrite it
-        x = x.copy()
     last_first = (x.ndim - 1, *range(x.ndim - 1))  # numpy 2.4's moveaxis leaks ~100 B a call
     for _ in range(x.ndim):
         moved = x.transpose(last_first)

@@ -99,33 +99,31 @@ def shoot(u0: float, params: PhysParams, r_max: float = R_MAX, dr: float = 1e-3,
     if v >= 0.0:
         return done(DECAYS, r)
 
-    energy = 0.5 * v * v + two_m * (abs(u)**p / p - 0.5 * mu * u * u)
+    half_dr, half_mu, isfinite = 0.5 * dr, 0.5 * mu, math.isfinite
+    energy = 0.5 * v * v + two_m * (abs(u)**p / p - half_mu * u * u)
     for i in range(1, steps):
-        k1u = v
+        # RK4 on (u, v = u'): each stage's u-slope is its own v (v, v2, v3, v4)
         k1v = two_m * (mu * u - (u**pm1 if u >= 0.0 else -((-u)**pm1))) - n1 * v / r
-        rm = r + 0.5 * dr
-        u2 = u + 0.5 * dr * k1u
-        v2 = v + 0.5 * dr * k1v
-        k2u = v2
+        rm = r + half_dr
+        u2 = u + half_dr * v
+        v2 = v + half_dr * k1v
         k2v = two_m * (mu * u2 - (u2**pm1 if u2 >= 0.0 else -((-u2)**pm1))) - n1 * v2 / rm
-        u3 = u + 0.5 * dr * k2u
-        v3 = v + 0.5 * dr * k2v
-        k3u = v3
+        u3 = u + half_dr * v2
+        v3 = v + half_dr * k2v
         k3v = two_m * (mu * u3 - (u3**pm1 if u3 >= 0.0 else -((-u3)**pm1))) - n1 * v3 / rm
         rp = r + dr
-        u4 = u + dr * k3u
+        u4 = u + dr * v3
         v4 = v + dr * k3v
-        k4u = v4
         k4v = two_m * (mu * u4 - (u4**pm1 if u4 >= 0.0 else -((-u4)**pm1))) - n1 * v4 / rp
-        u += dr * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
+        u += dr * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
         v += dr * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
         r = (i + 1) * dr
         if record:
             us.append(u)
-        if not (math.isfinite(u) and math.isfinite(v)) or abs(u) > big:
+        if not (abs(u) <= big and isfinite(v)):  # u or v non-finite, or |u| > big
             return done(DIVERGES, r)
         # the damped flow can only lose energy; a gain means the step is too big
-        e_new = 0.5 * v * v + two_m * (abs(u)**p / p - 0.5 * mu * u * u)
+        e_new = 0.5 * v * v + two_m * (abs(u)**p / p - half_mu * u * u)
         if e_new > energy + 1e-8 * (1.0 + abs(energy)):
             raise ValueError(f"dr = {dr} too large: energy drift at r = {r:.3f}")
         energy = e_new

@@ -75,6 +75,21 @@ def save_field(path: str | Path, f: RealField, params: PhysParams) -> Path:
     return _write_atomic(path, head.encode("ascii"), np.ascontiguousarray(f.values, "<f8"))
 
 
+#: the Python types of a JSON kind as json.loads returns them: true is no number here
+_JSON_KINDS = {"integer": (int,), "number": (int, float), "boolean": (bool,)}
+
+
+def _entry(path: Path, where: str, table: dict, key: str, kind: str):
+    """table[key], which must be present and a JSON value of kind: 64.7, 2.0, "64", true
+    and "no" are no JSON integer, true and "32" no number; else a ValueError naming path."""
+    if key not in table:
+        raise ValueError(f"{path}: {where} has no {key!r}")
+    value = table[key]
+    if type(value) not in _JSON_KINDS[kind]:
+        raise ValueError(f"{path}: {where} {key!r} is {value!r}, not a JSON {kind}")
+    return value
+
+
 def load_field(path: str | Path) -> tuple[RealField, dict]:
     """Read a snapshot back; returns the field and the parsed header."""
     path = Path(path)
@@ -82,11 +97,13 @@ def load_field(path: str | Path) -> tuple[RealField, dict]:
         header_line = fh.readline()
         payload = fh.read()
     head = json.loads(header_line.decode("ascii"))
-    for key, kind in (("n", int), ("N", int), ("even", bool)):
-        if type(head.get(key, kind())) is not kind:  # 64.7, 2.0, "64", true and "no" fail
-            raise ValueError(f"{path}: header {key!r} is {head[key]!r}, not a JSON {kind.__name__}")
+    n, L, N = (_entry(path, "header", head, key, kind)
+               for key, kind in (("n", "integer"), ("L", "number"), ("N", "integer")))
+    even = _entry(path, "header", head, "even", "boolean") if "even" in head else False
+    if "params" in head:
+        _entry(path, "header params", head["params"], "n", "integer")
     # one grid per box and layout, not per file; a header without "even" is the full box's
-    grid = shared_grid(head["n"], float(head["L"]), head["N"], head.get("even", False))
+    grid = shared_grid(n, float(L), N, even)
     expected = math.prod(grid.shape) * 8
     if len(payload) != expected:
         raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {expected}")

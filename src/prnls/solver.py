@@ -228,7 +228,7 @@ def solve_ground_state(params: PhysParams, grid: Grid,
         if u_sq > BLOWUP_NORM**2:  # before the power, which would overflow first
             raise BlowUpError(f"iterate norm exceeded {BLOWUP_NORM:.0e}")
         clamped_power(u, params.p, out=nl)
-        _parseval_root(_forward(nl, layout, out=NL), layout)
+        _parseval_root(_forward(nl, layout, out=NL, work=nl), layout)  # nl is refilled next pass
         pairing = c * g * _re_dot(NL, V)  # <u_+^{p-1}, u>
         V *= sqrt_gD
         q = c * g * _re_dot(V, V)  # Q(u)

@@ -33,18 +33,19 @@ needs_openblas = pytest.mark.skipif(
     reason="OPENBLAS_NUM_THREADS needs OpenBLAS")
 
 
-def run_cli_under_blas_threads(threads, args, cwd):
-    """prnls.cli with args in a fresh interpreter under OPENBLAS_NUM_THREADS=threads."""
+def run_under_blas_threads(threads, args, cwd):
+    """python with args in a fresh interpreter under OPENBLAS_NUM_THREADS=threads."""
     src = os.path.dirname(os.path.dirname(prnls.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-m", "prnls.cli", *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, check=True).stdout
 
 
 @needs_openblas
 def test_solve_output_does_not_depend_on_blas_threads(tmp_path):
-    outputs = [run_cli_under_blas_threads(t, ["solve", "--c", "inf"], tmp_path) for t in "12"]
+    outputs = [run_under_blas_threads(t, ["-m", "prnls.cli", "solve", "--c", "inf"], tmp_path)
+               for t in "12"]
     assert "iterations = " in outputs[0] and outputs[0].count("[ok]") == 5
     assert outputs[1] == outputs[0]
 
@@ -60,9 +61,33 @@ def test_sweep_files_do_not_depend_on_blas_threads(tmp_path):
         path = tmp_path / f"cfg{threads}.json"
         path.write_text(json.dumps({"params": {"n": 2}, "grid": {"L": 32.0, "N": 256},
                                     "output_dir": str(out)}))
-        run_cli_under_blas_threads(threads, ["sweep", "--config", str(path)], tmp_path)
+        run_under_blas_threads(threads, ["-m", "prnls.cli", "sweep", "--config", str(path)],
+                               tmp_path)
         files.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
     assert "sweep.csv" in files[0] and len(files[0]) == 16  # table, JSON, 7 snapshots + headers
+    assert files[1] == files[0]
+
+
+#: a 3D sweep through run_sweep: `prnls sweep` and `prnls solve` exit 1 on a 3D state's
+#: checks, and the output directory is the one argument
+SWEEP_3D = """
+import sys
+from prnls.sweep import run_config_from_dict, run_sweep
+run_sweep(run_config_from_dict({"params": {"n": 3, "p": 2.5}, "grid": {"L": 32.0, "N": 64},
+                                "c_schedule": [4.0], "output_dir": sys.argv[1]}))
+"""
+
+
+@needs_openblas
+def test_3d_sweep_files_do_not_depend_on_blas_threads(tmp_path):
+    # solve_ground_state promises the same bits at 3D N <= 128, where every axis is one
+    # product with the single cosine matrix, the last one batched over the leading axes
+    files = []
+    for threads in "12":
+        out = tmp_path / threads
+        run_under_blas_threads(threads, ["-c", SWEEP_3D, str(out)], tmp_path)
+        files.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert "state_c4.f64" in files[0] and len(files[0]) == 6  # table, JSON, 2 snapshots + headers
     assert files[1] == files[0]
 
 

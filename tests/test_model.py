@@ -299,6 +299,14 @@ class TestCosineTransform:
         assert (N // 2 + 1 >= RADIX2_MIN_POINTS) == split
         assert P.make_grid(2, 16.0, N).cosine is None
 
+    @pytest.mark.parametrize("n, N", [(2, 16), (2, 128), (3, 64), (3, 128)])
+    def test_single_matrix_is_stored_column_major(self, n, N):
+        # so that C.T is row-major and the last axis one plain batched product (_dct1):
+        # with a row-major C a 33^3 transform took 189 us in place of 140
+        C = P.Grid(n, 16.0, N, True).cosine
+        assert C.flags.f_contiguous and not C.flags.c_contiguous and C.T.flags.c_contiguous
+        np.testing.assert_array_equal(C, cosine_matrix(N))
+
     @pytest.mark.parametrize("n, N", [(2, 16), (2, 128), (2, 256), (2, 512), (3, 16), (3, 64),
                                       (3, 128)])
     def test_agrees_with_the_hfft_reference_and_round_trips(self, n, N):

@@ -127,13 +127,22 @@ def test_header_without_layout_loads_as_full_box(tmp_path, grid, params_inf):
 
 
 @pytest.mark.parametrize("key, value", [("N", 64.7), ("N", "64"), ("n", 2.0), ("n", True),
-                                        ("even", "no"), ("even", 1)])
+                                        ("even", "no"), ("even", 1), ("L", True), ("L", "32"),
+                                        ("N", None), ("params.n", 2.0)])
 def test_header_grid_values_of_the_wrong_json_type_rejected(tmp_path, grid, params_inf, key,
                                                             value):
-    # 64.7 loaded as N = 64, and "64" and 2.0 loaded too, while the loader converted them
+    # 64.7 loaded as N = 64, and "64" and 2.0 loaded too, while the loader converted them;
+    # true loaded as L = 1.0, "32" as 32.0, a params n of 2.0 as PhysParams(n=2.0), and a
+    # header without "N" raised KeyError: 'N'
     path = P.save_field(tmp_path / "bad.f64", P.gaussian_field(grid, 2.0), params_inf)
-    rewrite_header(path, **{key: value})
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header '{key}' is "):
+    if key == "params.n":
+        head = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        rewrite_header(path, params={**head["params"], "n": value})
+        expect = "header params 'n' is 2.0, not a JSON integer$"
+    else:
+        rewrite_header(path, **{key: value})
+        expect = f"header has no '{key}'$" if value is None else f"header '{key}' is "
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {expect}"):
         P.load_field(path)
 
 

@@ -317,10 +317,13 @@ class TestMemory:
     #: into a second full-box grid, whose xi_sq table is 0.5 field in 2D.  With hfft
     #: transforms, which copied and padded their input, the loop set 2D's peak at 3.81.
     #: Re-measured when the loop's sums became plain dots of its spectra: 2.42 / 1.24,
-    #: unchanged, as the loop holds the same four buffers and two tables; its peak is
-    #: the work array each forward DCT-I allocates, one even-layout array above them.
-    #: 2.42 / 1.24 while the even grid held a full-size mirror_weight table.
-    EVEN_LOOP = (2.17, 1.10)
+    #: unchanged, as the loop holds the same four buffers and two tables; in 2D its
+    #: peak is the first buffer the forward radix-2 step allocates, one even-layout
+    #: array above them, since the work array it is handed is its input.
+    #: 2.42 / 1.24 while the even grid held a full-size mirror_weight table.  3D
+    #: measured 1.10 while each forward DCT-I allocated a work array; its products now
+    #: go to the power's buffer, which is free once its transform starts.
+    EVEN_LOOP = (2.17, 0.98)
     MARGIN = 0.25
     #: what an even Grid holds once built (2D, 3D): its xi_sq table and its cosine
     #: matrices, the pair (E, O) in 2D; 0.636 / 0.279 while it also held a full-size
