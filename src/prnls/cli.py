@@ -58,12 +58,12 @@ def _load_config(path: str | None) -> RunConfig:
 
 
 def _state_checks(record, report) -> list[tuple[str, bool]]:
-    """The per-state checks: the record's verdicts, and the identities of the report."""
-    nonzero = report.Q > 0.0  # a collapsed state meets both identities vacuously
+    """The per-state checks: the record's verdicts, and the report's Nehari identity J = 0."""
+    nonzero = report.Q > 0.0  # a collapsed state meets J = 0 vacuously
     return [
         ("converged", record.converged),
-        ("nehari-zero", nonzero and abs(report.J) <= J_REL_TOL * report.Q),
-        ("energy-identity", nonzero and report.identity_gap <= IDENTITY_REL_TOL * abs(report.I)),
+        ("nehari-zero", nonzero and abs(report.J) <= J_REL_TOL * report.Q
+         and 0.5 * abs(report.J) <= IDENTITY_REL_TOL * abs(report.I)),  # the energy identity
         ("positivity", record.min_over_max >= -POSITIVITY_TOL),
         ("radial-symmetry", record.radial_scatter <= SCATTER_TOL),
     ]

@@ -10,6 +10,7 @@ warning otherwise).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -200,13 +201,19 @@ def sum_of_squares(axes) -> np.ndarray:
     return total
 
 
-#: shared_grid(n, L, N, even=False): one Grid per box and layout, shared by all its users
-shared_grid = lru_cache(maxsize=8)(Grid)
+#: make_grid's cache: one Grid per box and layout, shared by all its users
+_grid_cache = lru_cache(maxsize=8)(Grid)
 
 
-def make_grid(n: int, L: float, N: int) -> Grid:
-    """Build a periodic grid; rejects n outside {2, 3} and non-power-of-two N."""
-    return Grid(n=n, L=float(L), N=int(N))
+def make_grid(n: int, L: float, N: int, even: bool = False) -> Grid:
+    """The one Grid per box and layout (the last eight are cached): make_grid(2, 32, 256) is
+    make_grid(2, 32.0, 256).  Each call checks its values before the cache, where True
+    would be 1; Grid rejects n outside {2, 3}, L <= 0 or infinite, N no power of two >= 16."""
+    for name, value, kind in (("n", n, "an integer"), ("L", L, "a number"), ("N", N, "an integer")):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or kind == "an integer" and value % 1 != 0):  # no float(): 10**400 overflows it
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return _grid_cache(int(n), float(L), int(N), even)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,25 +252,22 @@ class SpectralField:
         object.__setattr__(self, "coeffs", c)
 
 
-def to_spectral(f: RealField, out: np.ndarray | None = None) -> SpectralField:
+def to_spectral(f: RealField) -> SpectralField:
     """Forward real-to-complex transform, normalized so that the discrete Parseval identity
 
         norm_l2(f)**2 == weighted_power(to_spectral(f))
 
-    holds exactly (up to roundoff).  out, an array of spectral_shape, receives
-    the coefficients in place of a new array."""
-    coeffs = _forward(f.values, f.grid, out)
+    holds exactly (up to roundoff)."""
+    coeffs = _forward(f.values, f.grid)
     coeffs *= f.grid.fourier_scale
     return SpectralField(f.grid, coeffs)
 
 
-def to_physical(F: SpectralField, out: np.ndarray | None = None,
-                work: np.ndarray | None = None) -> RealField:
-    """Inverse complex-to-real transform back to real samples; out, a real array of
-    the grid's shape, receives them, and work, an array of spectral_shape (complex
-    on the full box, real on the even layout) whose contents are overwritten, holds
-    the partial transforms, each in place of a new array (_inverse)."""
-    values = _inverse(F.coeffs, F.grid, out, work)
+def to_physical(F: SpectralField, work: np.ndarray | None = None) -> RealField:
+    """Inverse complex-to-real transform back to real samples; work, an array of
+    spectral_shape (complex on the full box, real on the even layout) whose contents
+    are overwritten, holds the partial transforms in place of a new array (_inverse)."""
+    values = _inverse(F.coeffs, F.grid, work=work)
     values /= F.grid.fourier_scale * F.grid.transform_gain
     return RealField(F.grid, values)
 
@@ -389,7 +393,7 @@ def fold_even(f: RealField) -> RealField | None:
         lead = (slice(None),) * axis
         if not np.array_equal(v[lead + (slice(1, half),)], v[lead + (slice(N - 1, half, -1),)]):
             return None
-    layout = shared_grid(f.grid.n, f.grid.L, N, True)
+    layout = make_grid(f.grid.n, f.grid.L, N, True)
     return RealField(layout, v[(slice(half, None, -1),) * f.grid.n].copy())
 
 

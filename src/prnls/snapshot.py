@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import PhysParams, RealField, shared_grid
+from .model import PhysParams, RealField, make_grid
 
 
 def _write_atomic(path: str | Path, *chunks) -> Path:
@@ -76,17 +76,23 @@ def save_field(path: str | Path, f: RealField, params: PhysParams) -> Path:
 
 
 #: the Python types of a JSON kind as json.loads returns them: true is no number here
-_JSON_KINDS = {"integer": (int,), "number": (int, float), "boolean": (bool,)}
+_JSON_KINDS = {"integer": (int,), "number": (int, float), "boolean": (bool,), "string": (str,),
+               "null": (type(None),), "array": (list,), "object": (dict,)}
+
+#: the JSON kind of each header "params" entry; c is "inf" in the limit (Infinity in older files)
+_PARAMS_KINDS = {"m": "number", "mu": "number", "c": 'number|"inf"', "p": "number", "n": "integer"}
 
 
-def _entry(path: Path, where: str, table: dict, key: str, kind: str):
-    """table[key], which must be present and a JSON value of kind: 64.7, 2.0, "64", true
-    and "no" are no JSON integer, true and "32" no number; else a ValueError naming path."""
+def _entry(where: str, table: dict, key, kind: str):
+    """table[key], the package's one check of a JSON value: present, and of kind, a JSON
+    type, a quoted JSON string or alternatives joined by "|" ('number|"inf"'); 64.7, 2.0,
+    "64" and true are no JSON integer, true and "32" no number.  Else a ValueError."""
     if key not in table:
-        raise ValueError(f"{path}: {where} has no {key!r}")
+        raise ValueError(f"{where} has no {key!r}")
     value = table[key]
-    if type(value) not in _JSON_KINDS[kind]:
-        raise ValueError(f"{path}: {where} {key!r} is {value!r}, not a JSON {kind}")
+    if not any(value == json.loads(k) if k[0] == '"' else type(value) in _JSON_KINDS[k]
+               for k in kind.split("|")):
+        raise ValueError(f"{where} {key!r} is {value!r}, not a JSON {kind.replace('|', ' or ')}")
     return value
 
 
@@ -96,14 +102,18 @@ def load_field(path: str | Path) -> tuple[RealField, dict]:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
-    head = json.loads(header_line.decode("ascii"))
-    n, L, N = (_entry(path, "header", head, key, kind)
+    where = f"{path}: header"
+    head = _entry(str(path), {"header": json.loads(header_line.decode("ascii"))}, "header",
+                  "object")
+    n, L, N = (_entry(where, head, key, kind)
                for key, kind in (("n", "integer"), ("L", "number"), ("N", "integer")))
-    even = _entry(path, "header", head, "even", "boolean") if "even" in head else False
+    even = _entry(where, head, "even", "boolean") if "even" in head else False
     if "params" in head:
-        _entry(path, "header params", head["params"], "n", "integer")
+        params = _entry(where, head, "params", "object")
+        for key, kind in _PARAMS_KINDS.items():
+            _entry(f"{where} params", params, key, kind)
     # one grid per box and layout, not per file; a header without "even" is the full box's
-    grid = shared_grid(n, float(L), N, even)
+    grid = make_grid(n, L, N, even)
     expected = math.prod(grid.shape) * 8
     if len(payload) != expected:
         raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
@@ -112,6 +122,6 @@ def load_field(path: str | Path) -> tuple[RealField, dict]:
 
 
 def params_from_header(head: dict) -> PhysParams:
-    """The header's parameters; c is "inf" in the limit header (Infinity in older files)."""
+    """The params load_field checked; c is "inf" in the limit header (Infinity in older files)."""
     raw = head["params"]
     return PhysParams(m=raw["m"], mu=raw["mu"], c=float(raw["c"]), p=raw["p"], n=raw["n"])

@@ -37,8 +37,8 @@ from .model import (
     derivative_freqs,
     fold_even,
     gaussian_field,
+    make_grid,
     norm_h1,
-    shared_grid,
     sum_of_squares,
     to_physical,
     to_spectral,
@@ -199,7 +199,7 @@ def solve_ground_state(params: PhysParams, grid: Grid,
     gamma = cfg.resolved_gamma(params.p)
     init, box = cfg.init_field, (grid.n, grid.L, grid.N)
     if init is None:  # a Gaussian is mirror-even
-        init = gaussian_field(shared_grid(*box, True), cfg.init_width)
+        init = gaussian_field(make_grid(*box, True), cfg.init_width)
     elif (init.grid.n, init.grid.L, init.grid.N) != box:
         raise ValueError("init_field grid does not match the solve grid")
     elif not init.grid.even:

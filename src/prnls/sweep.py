@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import PhysParams, RealField, grad_norm_sq, make_grid, norm_hhalf, norm_l2, to_spectral
-from .snapshot import csv_text, json_text, save_field, write_text
+from .snapshot import _entry, csv_text, json_text, save_field, write_text
 from .solver import GroundState, SolverConfig, h1_distance, radial_scatter, solve_ground_state
 from .variational import EnergyReport
 
@@ -61,13 +61,11 @@ class RunConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("m", "mu", "p", "L"):
+        for name in ("m", "mu", "p"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("n", "N"):
-            value = float(getattr(self, name))
-            if not value.is_integer():
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, int(value))
+        grid = make_grid(self.n, self.L, self.N)
+        for name in ("n", "L", "N"):  # as the grid holds them: ints n and N, a float L
+            object.__setattr__(self, name, getattr(grid, name))
         sched = tuple(float(c) for c in self.c_schedule)
         if not sched:
             raise ValueError("c_schedule must not be empty")
@@ -81,7 +79,6 @@ class RunConfig:
             raise ValueError(f"c_schedule values share the snapshot labels {clash}; "
                              "they must differ in 6 significant digits")
         object.__setattr__(self, "c_schedule", sched)
-        make_grid(self.n, self.L, self.N)
         for c in sched:
             self.params_at(c)  # validates c >= 1 and mu <= m c^2
 
@@ -94,47 +91,35 @@ def _label(c: float) -> str:
     return f"{c:g}"
 
 
-_CONFIG_KEYS = {
-    "params": ("m", "mu", "p", "n"),
-    "grid": ("L", "N"),
-    "solver": tuple(f.name for f in dataclasses.fields(SolverConfig) if f.name != "init_field"),
+#: the JSON kind (snapshot._entry) of every configuration key, by section
+_CONFIG_KINDS = {
+    "top-level": {"params": "object", "grid": "object", "solver": "object",
+                  "c_schedule": "array", "output_dir": "string|null"},
+    "params": dict.fromkeys(("m", "mu", "p", "n"), "number"),
+    "grid": dict.fromkeys(("L", "N"), "number"),
+    "solver": {f.name: "number|null" if f.name == "gamma" else "number"
+               for f in dataclasses.fields(SolverConfig) if f.name != "init_field"},
 }
-
-
-def _check_number(key: str, value, nullable: bool = False) -> None:
-    """JSON numbers only: true/false and strings are not numbers here."""
-    if value is None and nullable:
-        return
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} has the wrong type: expected a number, got {value!r}")
 
 
 def run_config_from_dict(raw: dict) -> RunConfig:
     """Build a RunConfig from the parsed configuration file.
 
     All keys are optional: a missing one keeps its RunConfig or SolverConfig
-    default.  Unknown keys and values of the wrong JSON type are rejected
+    default.  Unknown keys and values of the wrong JSON kind are rejected
     with a ValueError that names the key.
     """
-    if not isinstance(raw, dict):
-        raise ValueError(f"the configuration must be a JSON object, got {raw!r}")
-    sections = [("top-level", raw, (*_CONFIG_KEYS, "c_schedule", "output_dir"))]
-    sections += [(name, raw.get(name, {}), keys) for name, keys in _CONFIG_KEYS.items()]
-    for name, section, keys in sections:
-        if not isinstance(section, dict):
-            raise ValueError(f"{name} must be a JSON object, got {section!r}")
-        unknown = set(section) - set(keys)
+    raw = _entry("the", {"configuration": raw}, "configuration", "object")
+    for name, kinds in _CONFIG_KINDS.items():  # the top level first: its sections are objects
+        section = raw if name == "top-level" else raw.get(name, {})
+        unknown = set(section) - set(kinds)
         if unknown:
             raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
-    for name in _CONFIG_KEYS:
-        for key, value in raw.get(name, {}).items():
-            _check_number(key, value, nullable=key == "gamma")
-    if not isinstance(raw.get("c_schedule", []), list):
-        raise ValueError(f"c_schedule must be a list of numbers, got {raw['c_schedule']!r}")
-    for c in raw.get("c_schedule", []):
-        _check_number("c_schedule", c)
-    if not isinstance(raw.get("output_dir", ""), (str, type(None))):
-        raise ValueError(f"output_dir must be a string or null, got {raw['output_dir']!r}")
+        for key in section:
+            _entry(name, section, key, kinds[key])
+    schedule = dict(enumerate(raw.get("c_schedule", [])))
+    for i in schedule:
+        _entry("c_schedule entry", schedule, i, "number")
     top = {k: raw[k] for k in ("c_schedule", "output_dir") if k in raw}
     return RunConfig(**raw.get("params", {}), **raw.get("grid", {}), **top,
                      solver=SolverConfig(**raw.get("solver", {})))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import prnls as P
-from prnls.model import shared_grid
 from prnls.snapshot import params_from_header
 from prnls.sweep import RunConfig, run_sweep
 
@@ -64,7 +63,7 @@ def peak_fields(grid, fn, *args, **kwargs):
 
 def even_bump(grid, seed):
     """A positive random bump mirrored about the box center: exactly mirror-even, not radial."""
-    half = shared_grid(grid.n, grid.L, grid.N, True)
+    half = P.make_grid(grid.n, grid.L, grid.N, True)
     noise = 1.0 + np.abs(np.random.default_rng(seed).standard_normal(half.shape))
     mirrored = unfold_even(P.RealField(half, noise), grid).values
     return P.RealField(grid, mirrored * P.gaussian_field(grid, grid.L / 8.0).values)

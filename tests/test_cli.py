@@ -46,7 +46,7 @@ def run_under_blas_threads(threads, args, cwd):
 def test_solve_output_does_not_depend_on_blas_threads(tmp_path):
     outputs = [run_under_blas_threads(t, ["-m", "prnls.cli", "solve", "--c", "inf"], tmp_path)
                for t in "12"]
-    assert "iterations = " in outputs[0] and outputs[0].count("[ok]") == 5
+    assert "iterations = " in outputs[0] and outputs[0].count("[ok]") == 4
     assert outputs[1] == outputs[0]
 
 
@@ -116,8 +116,8 @@ def test_unsafe_schedule_rejected(tmp_path, capsys, schedule, reason):
     ({"solver": None}, "solver"),
     ([1], "configuration"),
     ({"output_dir": 5}, "output_dir"),
-    ({"c_schedule": [1, None]}, "wrong type"),
-    ({"solver": {"tol_residual": None}}, "wrong type"),
+    ({"c_schedule": [1, None]}, "c_schedule entry 1"),
+    ({"solver": {"tol_residual": None}}, "solver 'tol_residual'"),
 ])
 def test_config_type_error_exits_2(tmp_path, capsys, raw, key):
     path = tmp_path / "cfg.json"
@@ -142,7 +142,10 @@ def test_non_numbers_rejected(tmp_path, capsys, raw, key):
     path.write_text(json.dumps(dict(raw, output_dir=str(tmp_path / "out"))))
     assert main(["sweep", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key} ")
+    # the message names the key in its section ("solver 'max_iter' is True, not a JSON
+    # number"), a c_schedule entry by its index, or a JSON number that is no integer
+    assert re.match(rf"error: (\w+ '{key}' is \S+, not a JSON number|{key} entry \d is \S+, "
+                    rf"not a JSON number|{key} must be an integer)", err), err
     assert not (tmp_path / "out").exists()
 
 
@@ -175,9 +178,8 @@ def test_unconverged_limit_solve_fails_its_check(tmp_path, capsys, solver):
     assert main(["solve", "--c", "inf", "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert "[FAIL] c=inf: converged" in captured.out
-    if solver["gamma"] == 600:  # Q = J = I = 0: the identities hold only vacuously
+    if solver["gamma"] == 600:  # Q = J = I = 0: J = 0 holds only vacuously
         assert "[FAIL] c=inf: nehari-zero" in captured.out
-        assert "[FAIL] c=inf: energy-identity" in captured.out
     assert captured.err == ""
 
 

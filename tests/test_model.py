@@ -1,14 +1,15 @@
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
 
 import prnls as P
 from conftest import interpolate_to, peak_fields, unfold_even
-from prnls.model import (RADIX2_MIN_POINTS, _dct1, _re_dot, boundary_max_ratio, cosine_halves,
-                         cosine_matrix, derivative_freqs, fold_even, sample_dot, shared_grid,
+from prnls.model import (RADIX2_MIN_POINTS, _dct1, _forward, _inverse, _re_dot, boundary_max_ratio,
+                         cosine_halves, cosine_matrix, derivative_freqs, fold_even, sample_dot,
                          sum_of_squares)
 
 
@@ -84,9 +85,25 @@ class TestGrid:
             P.make_grid(2, -1.0, 64)
 
     def test_compares_and_hashes_by_layout(self):
-        a, b = P.make_grid(2, 32, 256), P.make_grid(2, 32.0, 256)
+        a, b = P.Grid(2, 32, 256), P.Grid(2, 32.0, 256)
         assert a is not b and a == b and hash(a) == hash(b)
-        assert a != P.make_grid(2, 32.0, 128)
+        assert a != P.Grid(2, 32.0, 128)
+        assert P.make_grid(2, 32, 256) is P.make_grid(2, 32.0, 256) == a  # one grid per box
+
+    @pytest.mark.parametrize("n, L, N, message", [
+        (2, True, 64, "L must be a number, got True"),
+        (2, "32", 64, "L must be a number, got '32'"),
+        (2, 1, 64.7, "N must be an integer, got 64.7"),
+        (2, 1, "64", "N must be an integer, got '64'"),
+        (True, 1, 64, "n must be an integer, got True"),
+        (2.5, 1, 64, "n must be an integer, got 2.5"),
+    ])
+    def test_rejects_what_is_no_number_or_no_integer(self, n, L, N, message):
+        # make_grid(2, True, 64.7) built L = 1, N = 64 while it converted its values; the
+        # check runs before the cache, where (2, True, 64) would find (2, 1, 64)
+        assert P.make_grid(2, 1, 64) is P.make_grid(2, 1.0, 64.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            P.make_grid(n, L, N)
 
     def test_3d_grid(self):
         g = P.make_grid(3, 16.0, 64)
@@ -243,9 +260,10 @@ class TestHalfSpectrum:
         kept = F.coeffs.copy()
         ref = np.fft.irfftn(F.coeffs, s=g.shape, axes=tuple(range(g.n))) / g.fourier_scale
         out, work = np.empty(g.shape), np.empty(g.spectral_shape, dtype=np.complex128)
-        got = P.to_physical(F, out=out, work=work)
-        assert got.values is out
-        assert np.array_equal(got.values, ref) and np.array_equal(P.to_physical(F).values, ref)
+        assert _inverse(F.coeffs, g, out, work) is out
+        out /= g.fourier_scale * g.transform_gain  # to_physical's normalizing pass
+        assert np.array_equal(out, ref) and np.array_equal(P.to_physical(F).values, ref)
+        assert np.array_equal(P.to_physical(F, work=work).values, ref)
         assert np.array_equal(F.coeffs, kept)  # work, not the spectrum, holds the partial transforms
 
 
@@ -270,7 +288,7 @@ class TestCosineTransform:
 
     def test_matrix_is_its_own_inverse_up_to_N(self):
         assert P.make_grid(2, 16.0, 64).cosine is None
-        C = dataclasses.replace(P.make_grid(2, 16.0, 64), even=True).cosine
+        C = P.make_grid(2, 16.0, 64, True).cosine
         assert C.shape == (33, 33)
         np.testing.assert_allclose(C @ C, 64.0 * np.eye(33), rtol=0, atol=1e-12)
 
@@ -292,7 +310,7 @@ class TestCosineTransform:
     @pytest.mark.parametrize("N, split", [(128, False), (256, True), (512, True)])
     def test_grid_holds_the_matrices_of_its_axis_length(self, N, split):
         # one field, Grid.cosine: the pair (E, O) from RADIX2_MIN_POINTS on, C below it
-        g = shared_grid(2, 16.0, N, True)
+        g = P.make_grid(2, 16.0, N, True)
         assert isinstance(g.cosine, tuple) == split
         got, want = (g.cosine, cosine_halves(N)) if split else ((g.cosine,), (cosine_matrix(N),))
         assert len(got) == len(want) and all(map(np.array_equal, got, want))
@@ -310,13 +328,17 @@ class TestCosineTransform:
     @pytest.mark.parametrize("n, N", [(2, 16), (2, 128), (2, 256), (2, 512), (3, 16), (3, 64),
                                       (3, 128)])
     def test_agrees_with_the_hfft_reference_and_round_trips(self, n, N):
-        g = dataclasses.replace(P.make_grid(n, 16.0, N), even=True)
+        g = P.make_grid(n, 16.0, N, True)
         f = P.RealField(g, np.random.default_rng(900 + N).standard_normal(g.shape))
         spectrum, samples = np.empty(g.spectral_shape), np.empty(g.shape)
-        assert P.to_spectral(f, out=spectrum).coeffs is spectrum
+        assert _forward(f.values, g, spectrum) is spectrum  # the solve loop's buffers
+        spectrum *= g.fourier_scale  # to_spectral's normalizing pass
+        np.testing.assert_array_equal(P.to_spectral(f).coeffs, spectrum)
         expect = g.fourier_scale * dct1_hfft(f.values)
         assert np.max(np.abs(spectrum - expect)) <= 1e-13 * np.max(np.abs(expect))
-        assert P.to_physical(P.SpectralField(g, spectrum), out=samples).values is samples
+        assert _inverse(spectrum, g, samples) is samples
+        samples /= g.fourier_scale * g.transform_gain  # to_physical's normalizing pass
+        np.testing.assert_array_equal(P.to_physical(P.SpectralField(g, spectrum)).values, samples)
         expect = dct1_hfft(spectrum) / (g.fourier_scale * g.N**g.n)
         assert np.max(np.abs(samples - expect)) <= 1e-13 * np.max(np.abs(expect))
         assert np.max(np.abs(samples - f.values)) <= 1e-13 * np.max(np.abs(f.values))
@@ -366,7 +388,7 @@ class TestEvenLayout:
     def test_even_layout_tables_are_the_folded_full_ones(self, n, N):
         # a cold start's Gaussian is built on the even layout: the same bits as the fold
         g = P.make_grid(n, 10.3, N)
-        even = shared_grid(n, g.L, N, True)
+        even = P.make_grid(n, g.L, N, True)
         assert np.array_equal(even.offsets(), np.arange(N // 2 + 1))
         assert np.array_equal(g.offsets(), np.arange(N) - N // 2)
         for full, half in [(g.radius_sq(), even.radius_sq()),
@@ -446,9 +468,11 @@ class TestEvenLayout:
     def test_roundtrip_into_buffers(self, even_noise):
         folded = fold_even(even_noise)
         g = folded.grid
-        F = P.to_spectral(folded, out=np.empty(g.spectral_shape))
-        back = P.to_physical(F, out=np.empty(g.shape))
-        assert np.max(np.abs(back.values - folded.values)) <= 1e-14 * np.max(np.abs(folded.values))
+        spectrum, back = np.empty(g.spectral_shape), np.empty(g.shape)
+        assert _forward(folded.values, g, spectrum) is spectrum
+        assert _inverse(spectrum, g, back) is back
+        back /= g.transform_gain
+        assert np.max(np.abs(back - folded.values)) <= 1e-14 * np.max(np.abs(folded.values))
 
 
 class TestParsevalWeighting:
@@ -463,7 +487,7 @@ class TestParsevalWeighting:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n, N", [(2, 256), (3, 64)])
     def test_sums_equal_the_weight_table_formula_to_the_bit(self, n, N, seed):
-        g = shared_grid(n, 32.0, N, True)
+        g = P.make_grid(n, 32.0, N, True)
         W = self.mirror_weight(g)
         rng = np.random.default_rng(seed)
         a, b, F = (rng.standard_normal(g.shape) for _ in range(3))

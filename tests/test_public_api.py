@@ -11,6 +11,11 @@ to it (an import alone or a mention in text does not count):
 
 An attribute that merely shares the function's name, such as
 ``report.residual`` beside ``variational.residual``, is not a caller.
+
+Every optional parameter of such a function must likewise be passed, by
+position or by keyword, by some call in the package or the benchmark that
+resolves to the function; ``*args`` passes every positional parameter and
+``**kwargs`` every one.
 """
 
 import ast
@@ -52,8 +57,9 @@ def _imported_prnls(node, module: str | None):
                 yield a.asname or a.name, f"{base}.{a.name}"
 
 
-def used_functions(sources: dict[str | None, list[ast.Module]]) -> set[str]:
-    """Dotted names (prnls.module.function) that the sources reference.
+def _references(sources: dict[str | None, list[ast.Module]]):
+    """(dotted name, node) for each Name or Attribute node of the sources that resolves
+    to a prnls name (prnls.module.function).
 
     sources maps a module's dotted name (None for files outside the package)
     to its parsed trees; the package's re-exports are read from sources["prnls"].
@@ -65,7 +71,6 @@ def used_functions(sources: dict[str | None, list[ast.Module]]) -> set[str]:
                 exports[f"prnls.{name}"] = target
     modules = {m for m in sources if m}
 
-    used = set()
     for module, trees in sources.items():
         for tree in trees:
             bound = {name: target for node in ast.walk(tree)
@@ -84,25 +89,97 @@ def used_functions(sources: dict[str | None, list[ast.Module]]) -> set[str]:
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     if node.id in bound:
-                        used.add(exports.get(bound[node.id], bound[node.id]))
+                        yield exports.get(bound[node.id], bound[node.id]), node
                     elif module:
-                        used.add(f"{module}.{node.id}")
+                        yield f"{module}.{node.id}", node
                 elif isinstance(node, ast.Attribute):
                     target = resolve(node)
                     if target:
-                        used.add(target)
-    return used
+                        yield target, node
+
+
+def used_functions(sources: dict[str | None, list[ast.Module]]) -> set[str]:
+    """Dotted names (prnls.module.function) that the sources reference (_references)."""
+    return {name for name, _ in _references(sources)}
+
+
+def passed_parameters(sources: dict[str | None, list[ast.Module]]) -> dict[str, set]:
+    """For each dotted name the sources call: the positions (0, 1, ...) and keywords its
+    calls pass, "*" for a call with *args and "**" for one with **kwargs."""
+    callee = {id(node): name for name, node in _references(sources)}
+    passed = {}
+    for trees in sources.values():
+        for call in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            if id(call.func) not in callee:
+                continue
+            got = passed.setdefault(callee[id(call.func)], set())
+            for i, arg in enumerate(call.args):
+                got.add("*" if isinstance(arg, ast.Starred) else i)
+            got.update("**" if kw.arg is None else kw.arg for kw in call.keywords)
+    return passed
+
+
+def optional_parameters(tree: ast.Module):
+    """(function name, parameter name, position or None) for each parameter with a
+    default of each public module-level function of tree."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            for i in range(len(positional) - len(a.defaults), len(positional)):
+                yield node.name, positional[i].arg, i
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def unpassed(name: str, position: int | None, passed: set) -> bool:
+    """Whether no call passes the optional parameter name at position."""
+    return not ({name, "**"} & passed or position is not None and {position, "*"} & passed)
+
+
+def _package_and_benchmark():
+    """The sources of the package and of the benchmark, keyed as _references takes them."""
+    sources = {}
+    for path, tree in _trees(PACKAGE, ROOT / "perfbench"):
+        sources.setdefault(_module_name(path), []).append(tree)
+    return sources
 
 
 def test_every_public_function_has_a_caller():
     public = {f"{_module_name(path)}.{node.name}"
               for path, tree in _trees(PACKAGE) for node in tree.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    sources = {}
-    for path, tree in _trees(PACKAGE, ROOT / "perfbench"):
-        sources.setdefault(_module_name(path), []).append(tree)
-    orphans = sorted(public - used_functions(sources) - ALLOWED)
+    orphans = sorted(public - used_functions(_package_and_benchmark()) - ALLOWED)
     assert not orphans, f"public functions with no caller in src/ or perfbench/: {orphans}"
+
+
+def test_every_optional_parameter_is_passed():
+    passed = passed_parameters(_package_and_benchmark())
+    never = sorted(f"{_module_name(path)}.{fn}({name}=)"
+                   for path, tree in _trees(PACKAGE)
+                   for fn, name, position in optional_parameters(tree)
+                   if unpassed(name, position, passed.get(f"{_module_name(path)}.{fn}", set())))
+    assert not never, f"optional parameters no call in src/ or perfbench/ passes: {never}"
+
+
+def test_a_parameter_counts_as_passed_by_position_keyword_or_unpacking():
+    sources = {
+        "prnls.model": ["def f(x, out=None, *, work=None, scale=1.0):\n    return x\n\n\n"
+                        "def g(x, y=0, z=0):\n    return x\n"],
+        "prnls.sweep": ["from .model import f, g\n\n\n"
+                        "def run(args, kw):\n    f(1, None)\n    g(*args)\n"
+                        "    return f(2, work=None), g(0, **kw)\n"],
+    }
+    trees = {m: [ast.parse(s) for s in srcs] for m, srcs in sources.items()}
+    passed = passed_parameters(trees)
+    assert passed["prnls.model.f"] == {0, 1, "work"}
+    assert passed["prnls.model.g"] == {"*", 0, "**"}
+    optional = list(optional_parameters(trees["prnls.model"][0]))
+    assert optional == [("f", "out", 1), ("f", "work", None), ("f", "scale", None),
+                        ("g", "y", 1), ("g", "z", 2)]
+    assert [name for fn, name, pos in optional
+            if unpassed(name, pos, passed[f"prnls.model.{fn}"])] == ["scale"]
 
 
 def test_attribute_of_the_same_name_is_not_a_caller():

@@ -7,7 +7,7 @@ import pytest
 
 import prnls as P
 from conftest import peak_fields, unfold_even
-from prnls.model import fold_even, shared_grid
+from prnls.model import fold_even
 from prnls.snapshot import csv_text, json_text, params_from_header
 
 
@@ -99,7 +99,7 @@ def test_non_c_ordered_samples_written_row_major(tmp_path, grid, params_inf):
 @pytest.fixture
 def even_state(grid):
     """A mirror-even, non-radial state on the even layout of grid."""
-    half = shared_grid(grid.n, grid.L, grid.N, True)
+    half = P.make_grid(grid.n, grid.L, grid.N, True)
     noise = np.random.default_rng(12).standard_normal(half.shape)
     return P.RealField(half, noise * P.gaussian_field(half, 4.0).values)
 
@@ -128,22 +128,48 @@ def test_header_without_layout_loads_as_full_box(tmp_path, grid, params_inf):
 
 @pytest.mark.parametrize("key, value", [("N", 64.7), ("N", "64"), ("n", 2.0), ("n", True),
                                         ("even", "no"), ("even", 1), ("L", True), ("L", "32"),
-                                        ("N", None), ("params.n", 2.0)])
+                                        ("N", None), ("params.n", 2.0), ("params.c", True),
+                                        ("params.c", "1"), ("params.c", "-inf"),
+                                        ("params.m", True), ("params.mu", "1"), ("params.p", "3"),
+                                        ("params.p", None)])
 def test_header_grid_values_of_the_wrong_json_type_rejected(tmp_path, grid, params_inf, key,
                                                             value):
     # 64.7 loaded as N = 64, and "64" and 2.0 loaded too, while the loader converted them;
-    # true loaded as L = 1.0, "32" as 32.0, a params n of 2.0 as PhysParams(n=2.0), and a
-    # header without "N" raised KeyError: 'N'
+    # true loaded as L = 1.0, "32" as 32.0, a params n of 2.0 as PhysParams(n=2.0), a params
+    # c of true as c = 1.0 and m of true as PhysParams(m=True), a params mu of "1" raised
+    # TypeError, and a header without "N" raised KeyError: 'N'
     path = P.save_field(tmp_path / "bad.f64", P.gaussian_field(grid, 2.0), params_inf)
-    if key == "params.n":
-        head = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        rewrite_header(path, params={**head["params"], "n": value})
-        expect = "header params 'n' is 2.0, not a JSON integer$"
+    section, _, name = key.rpartition(".")
+    if section:
+        params = {**json.loads(path.read_bytes().split(b"\n", 1)[0])["params"], name: value}
+        rewrite_header(path, params={k: v for k, v in params.items() if v is not None})
     else:
         rewrite_header(path, **{key: value})
-        expect = f"header has no '{key}'$" if value is None else f"header '{key}' is "
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {expect}"):
+    where = f"{path}: header params" if section else f"{path}: header"
+    if value is None:
+        expect = re.escape(f"{where} has no '{name}'") + "$"
+    else:
+        expect = re.escape(f"{where} '{name}' is {value!r}, not a JSON ")
+    with pytest.raises(ValueError, match="^" + expect):
         P.load_field(path)
+
+
+def test_header_that_is_no_json_object_rejected(tmp_path):
+    # "n" in 5 raised TypeError: argument of type 'int' is not iterable
+    path = tmp_path / "five.f64"
+    path.write_bytes(b"5\n")
+    expect = re.escape(f"{path} 'header' is 5, not a JSON object")
+    with pytest.raises(ValueError, match=f"^{expect}$"):
+        P.load_field(path)
+
+
+@pytest.mark.parametrize("c", ["inf", math.inf])
+def test_limit_header_loads_with_inf_or_an_older_infinity(tmp_path, grid, params_inf, c):
+    path = P.save_field(tmp_path / "limit.f64", P.gaussian_field(grid, 2.0), params_inf)
+    head = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    rewrite_header(path, params={**head["params"], "c": c})  # math.inf is written as Infinity
+    assert (b'"c": Infinity' in path.read_bytes()) == (c == math.inf)
+    assert params_from_header(P.load_field(path)[1]) == params_inf
 
 
 @pytest.mark.parametrize("layout", ["even", "full"])

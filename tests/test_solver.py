@@ -10,7 +10,7 @@ import pytest
 import prnls as P
 import prnls.solver as solver
 from conftest import full_box, interpolate_to, peak_fields
-from prnls.model import fold_even, sample_dot, shared_grid, warn_if_poorly_truncated
+from prnls.model import _grid_cache, fold_even, sample_dot, warn_if_poorly_truncated
 from prnls.solver import SolverConfig
 from prnls.sweep import make_record
 from prnls.variational import clamped_power
@@ -124,7 +124,7 @@ class TestSolve:
         monkeypatch.setattr(solver, "relativistic_multiplier", recording)
         gs = P.solve_ground_state(pp, g, SolverConfig(max_iter=3))
         assert len(grids) == 2 and all(grid is gs.field.grid for grid in grids)
-        assert gs.field.grid == shared_grid(g.n, g.L, g.N, True)
+        assert gs.field.grid == P.make_grid(g.n, g.L, g.N, True)
         assert gs.report == P.energy(gs.field, P.relativistic_multiplier(gs.field.grid, pp), pp)
 
     def test_cold_start_agrees_with_warm_start(self, grid, make_params, sweep_field):
@@ -217,7 +217,7 @@ class TestSolve:
 
     def test_grid_mismatch_rejected(self, grid, params_inf):
         # init_field may be on grid or on its even layout, not on another box's
-        for other in (P.make_grid(2, 32.0, 128), shared_grid(2, 32.0, 128, True)):
+        for other in (P.make_grid(2, 32.0, 128), P.make_grid(2, 32.0, 128, True)):
             init = P.gaussian_field(other, 2.0)
             with pytest.raises(ValueError, match="^init_field grid does not match the solve grid$"):
                 P.solve_ground_state(params_inf, grid, SolverConfig(init_field=init))
@@ -232,7 +232,7 @@ class TestSolve:
         folded = P.solve_ground_state(params_inf, g, SolverConfig(
             max_iter=5, init_field=P.gaussian_field(g, 2.0)))
         assert len(folds) == 1
-        assert cold.field.grid == folded.field.grid == shared_grid(2, 16.0, 64, True)
+        assert cold.field.grid == folded.field.grid == P.make_grid(2, 16.0, 64, True)
         assert np.array_equal(cold.field.values, folded.field.values)
         assert cold.report == folded.report
 
@@ -352,7 +352,7 @@ class TestMemory:
         whole = []
         for max_iter in (5, 60):
             cfg = SolverConfig(tol_residual=1e-14, max_iter=max_iter)
-            shared_grid.cache_clear()
+            _grid_cache.cache_clear()
             gs, peak = peak_fields(g, P.solve_ground_state, pp, g, cfg)
             assert gs.iterations == max_iter  # the tolerance is out of reach
             whole.append(peak)
@@ -408,7 +408,7 @@ class TestMemory:
     @pytest.mark.parametrize("n, N", [(2, 256), (3, 64)])
     def test_post_loop_step_peak(self, step, n, N):
         pp, g = self.setting(n, N, c=4.0)
-        even = shared_grid(n, g.L, N, True)
+        even = P.make_grid(n, g.L, N, True)
         u = P.gaussian_field(even, 2.0)
         M = P.relativistic_multiplier(even, pp)
         gs = P.GroundState(field=u, report=P.energy(u, M, pp), iterations=0,
@@ -431,7 +431,7 @@ class TestMemory:
 def test_h1_distance_rejects_other_grids(grid):
     f = P.gaussian_field(grid, 2.0)
     # the even layout of the same box too: no layout is implied
-    others = (P.make_grid(2, 40.0, 256), P.make_grid(2, 32.0, 128), shared_grid(2, 32.0, 256, True))
+    others = (P.make_grid(2, 40.0, 256), P.make_grid(2, 32.0, 128), P.make_grid(2, 32.0, 256, True))
     for other in others:
         with pytest.raises(ValueError, match="^grid mismatch$"):
             P.h1_distance(f, P.gaussian_field(other, 2.0))
@@ -478,7 +478,7 @@ class TestRecenter:
 
     def test_even_layout_field_returned_as_is(self, grid):
         # a GroundState's field is usually on the even layout, centered by its symmetry
-        f = P.gaussian_field(shared_grid(grid.n, grid.L, grid.N, True), 2.0)
+        f = P.gaussian_field(P.make_grid(grid.n, grid.L, grid.N, True), 2.0)
         assert P.center(f) is f
 
     def test_norms_preserved(self, grid):

@@ -15,7 +15,7 @@ import prnls.snapshot as snapshot
 import prnls.variational as variational
 from conftest import even_bump, full_box, peak_fields
 
-from prnls.model import fold_even, shared_grid
+from prnls.model import _grid_cache, fold_even
 from prnls.snapshot import params_from_header
 from prnls.solver import SolverConfig
 from prnls.sweep import (
@@ -187,7 +187,7 @@ class TestRunSweep:
         for n, p, N, measured in ((3, 2.5, 32, 2.11), (2, 3.0, 128, 3.44)):
             cfg = RunConfig(n=n, p=p, N=N, c_schedule=(1.0, 4.0), output_dir=str(tmp_path),
                             solver=SolverConfig(tol_residual=1e-14, max_iter=3))
-            shared_grid.cache_clear()
+            _grid_cache.cache_clear()
             _, peak = peak_fields(P.make_grid(cfg.n, cfg.L, cfg.N), run_sweep, cfg)
             assert peak <= measured + 0.25, (n, peak)
 
@@ -251,7 +251,7 @@ class TestRunSweep:
             for schedule in ((1.0, 4.0), (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)):
                 cfg = RunConfig(n=n, p=p, N=N, c_schedule=schedule,
                                 solver=SolverConfig(tol_residual=1e-14, max_iter=3))
-                shared_grid.cache_clear()  # each sweep builds its own even layout
+                _grid_cache.cache_clear()  # each sweep builds its own even layout
                 _, peak = peak_fields(P.make_grid(n, cfg.L, N), run_sweep, cfg)
                 peaks.append(peak)
             assert abs(peaks[1] - peaks[0]) <= 0.05, (n, peaks)
@@ -306,7 +306,7 @@ class TestRunSweep:
         run_sweep(cfg)
         assert calls == {"fold_even": 0, "center": 0}
         assert len(states) == 7
-        assert all(gs.field.grid == shared_grid(n, cfg.L, N, True) for gs in states)
+        assert all(gs.field.grid == P.make_grid(n, cfg.L, N, True) for gs in states)
         snapshots = sorted(tmp_path.glob("*.f64"))
         assert len(snapshots) == 7
         for path in snapshots:
