@@ -45,15 +45,17 @@ class PhysParams:
     n: int
 
     def __post_init__(self):
+        for name in ("m", "mu", "c", "p", "n"):  # n an int, the others floats
+            object.__setattr__(self, name, checked_number(name, getattr(self, name), name == "n"))
         if not (self.m > 0.0 and math.isfinite(self.m)):
             raise ValueError("m must be positive and finite")
         if not (self.mu > 0.0 and math.isfinite(self.mu)):
             raise ValueError("mu must be positive and finite")
         if not self.c >= 1.0:
             raise ValueError("c must be >= 1")
-        if self.n < 2 or int(self.n) != self.n:
+        if self.n < 2:
             raise ValueError("n must be an integer >= 2")
-        p_max = 2.0 * self.n / (self.n - 1.0)
+        p_max = 2.0 + 2 / (self.n - 1)  # 2n/(n-1); an int quotient, as n may pass float range
         if not (2.0 < self.p < p_max):
             raise ValueError(f"p must lie in (2, {p_max}) for n = {self.n}")
         # mu <= m c^2 keeps the shifted kinetic symbol plus mu comparable to the
@@ -205,15 +207,29 @@ def sum_of_squares(axes) -> np.ndarray:
 _grid_cache = lru_cache(maxsize=8)(Grid)
 
 
+def checked_number(name: str, value, integer: bool = False) -> int | float:
+    """value as an int (integer) or a float, else a ValueError naming it: no bool and no
+    string, and a whole number where a count is meant (64.0 is 64).  An int past float
+    range is +-inf, as JSON's 1e400 is, for the caller's own range check to judge."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or integer and value % 1 != 0):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if integer:
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def make_grid(n: int, L: float, N: int, even: bool = False) -> Grid:
     """The one Grid per box and layout (the last eight are cached): make_grid(2, 32, 256) is
     make_grid(2, 32.0, 256).  Each call checks its values before the cache, where True
     would be 1; Grid rejects n outside {2, 3}, L <= 0 or infinite, N no power of two >= 16."""
-    for name, value, kind in (("n", n, "an integer"), ("L", L, "a number"), ("N", N, "an integer")):
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or kind == "an integer" and value % 1 != 0):  # no float(): 10**400 overflows it
-            raise ValueError(f"{name} must be {kind}, got {value!r}")
-    return _grid_cache(int(n), float(L), int(N), even)
+    if not isinstance(even, bool):
+        raise ValueError(f"even must be a bool, got {even!r}")
+    return _grid_cache(checked_number("n", n, True), checked_number("L", L),
+                       checked_number("N", N, True), even)
 
 
 @dataclass(frozen=True, eq=False)

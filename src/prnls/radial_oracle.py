@@ -12,11 +12,12 @@ the result is an independent check on the spectral solver.
 The bisection result is computed from fewer RK4 steps than bisection takes.
 Near the ground amplitude u*, a shot exits (crosses or turns) at the radius
 r_end where |u0 - u*| ~ C exp(-rate * r_end), rate -> 2 sqrt(2 m mu), so the
-exit radii of a few shots locate u* far faster than halving does.  The search
-is one bisection loop: a midpoint is shot only while no earlier shot settles
-it (the ground state is unique, so every amplitude below a decaying shot
-decays and every one above a crossing shot crosses), and that shot goes where
-the exit radii say the root is, so most later midpoints are settled for free.
+exit radii of two shots on one side locate u* far faster than halving does.
+The search is one bisection loop: a midpoint is shot only while no earlier shot
+settles it (the ground state is unique, so every amplitude below a decaying
+shot decays and every one above a crossing shot crosses), and that shot goes
+where the exit radii say the root is, so most later midpoints are settled for
+free.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ DIVERGES = "diverges"
 #: linearized far-field tail (bisection noise dominates the raw shot there)
 SPLICE_LEVEL = 1e-4
 
-#: outer radius of the search's shots, and the absolute tolerance of its amplitude
+#: outer radius of every shot, and the absolute tolerance of the search's amplitude
 R_MAX = 30.0
 TOL = 1e-10
 
@@ -50,9 +51,8 @@ class ShotResult:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Accepted ground-state profile on a uniform radial mesh."""
+    """Accepted ground-state profile on a uniform radial mesh of [0, R_MAX]."""
 
-    r_max: float
     dr: float
     values: np.ndarray
     u0: float
@@ -62,9 +62,8 @@ class RadialProfile:
         return self.dr * np.arange(len(self.values))
 
 
-def shoot(u0: float, params: PhysParams, r_max: float = R_MAX, dr: float = 1e-3,
-          record: bool = False) -> ShotResult:
-    """Integrate one trajectory and classify it.
+def shoot(u0: float, params: PhysParams, dr: float = 1e-3, record: bool = False) -> ShotResult:
+    """Integrate one trajectory on [0, R_MAX] and classify it.
 
     The r = 0 singularity is crossed with the even-series step
     u(dr) = u0 + a dr^2, u'(dr) = 2 a dr, a = m (mu u0 - u0^{p-1}) / n.
@@ -77,7 +76,7 @@ def shoot(u0: float, params: PhysParams, r_max: float = R_MAX, dr: float = 1e-3,
     pm1 = p - 1.0
     n1 = float(n - 1)
     two_m = 2.0 * m
-    steps = int(round(r_max / dr))
+    steps = int(round(R_MAX / dr))
     big = 1e6 * (u0 + 1.0)
 
     us = [u0] if record else None
@@ -132,7 +131,7 @@ def shoot(u0: float, params: PhysParams, r_max: float = R_MAX, dr: float = 1e-3,
         if v >= 0.0:
             return done(DECAYS, r)
     # never crossed and never turned: treat as the undershoot side
-    return done(DECAYS, r_max)
+    return done(DECAYS, R_MAX)
 
 
 def default_bracket(params: PhysParams) -> tuple[float, float]:
@@ -153,46 +152,20 @@ def _bisect(classify, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _rate(far: tuple[float, float], near: tuple[float, float], s: float) -> float:
-    """Decay rate ln(|far - s| / |near - s|) / (r_near - r_far) between two
-    (u0, r_end) shots on one side of a root at s."""
-    d_near = abs(near[0] - s)
-    if d_near == 0.0:
-        return math.inf
-    return math.log(abs(far[0] - s) / d_near) / (near[1] - far[1])
-
-
-def _sign_change(g, a: float, b: float) -> float | None:
-    """A point of (a, b) where g changes sign, by bisection; None without a sign change."""
-    ga, gb = g(a), g(b)
-    if not (ga < 0.0 < gb or gb < 0.0 < ga):
-        return None
-    while True:
-        s = 0.5 * (a + b)
-        if not a < s < b:
-            return s
-        gs = g(s)
-        if (gs < 0.0) == (ga < 0.0):
-            a, ga = s, gs
-        else:
-            b = s
-
-
 def _estimate(pts: list, a: float, b: float, rate0: float) -> float | None:
-    """Root estimate in (a, b) from the (u0, r_end) shots on the side of the latest
-    shot, ordered toward the root: the s at which the rate between the last two
-    equals the rate between the two before (the rate fitted from three shots),
-    else equals rate0."""
-    if len(pts) >= 3:
-        x = _sign_change(lambda s: _rate(pts[-3], pts[-2], s) - _rate(pts[-2], pts[-1], s), a, b)
-        if x is not None:
-            return x
-    if len(pts) >= 2:
-        return _sign_change(lambda s: _rate(pts[-2], pts[-1], s) - rate0, a, b)
-    return None
+    """Root estimate from the last two (u0, r_end) shots (t1, r1), (t2, r2) on the side
+    of the latest shot, ordered toward the root: the s of |u0 - s| = C exp(-rate0 r_end)
+    through both, s = (t2 - q t1) / (1 - q) with q = exp(-rate0 (r2 - r1)) < 1, which
+    cannot overflow.  None with fewer than two shots or an s outside (a, b)."""
+    if len(pts) < 2:
+        return None
+    (t1, r1), (t2, r2) = pts[-2:]
+    x = rate0 * (r2 - r1)
+    s = (t2 - math.exp(-x) * t1) / -math.expm1(-x)
+    return s if a < s < b else None
 
 
-def _search(classify, lo: float, hi: float, tol: float, r_max: float, rate0: float) -> float:
+def _search(classify, lo: float, hi: float, tol: float, rate0: float) -> float:
     """The amplitude bisection on [lo, hi] returns, shooting only where it must.
 
     classify(u0) shoots and returns the ShotResult.  a is the largest amplitude
@@ -203,7 +176,7 @@ def _search(classify, lo: float, hi: float, tol: float, r_max: float, rate0: flo
     estimate lies inside it by a quarter of its last move; else to the
     estimate; else to the midpoint.  After as many shots as bisection takes,
     only midpoints are shot, so the search takes at most twice its shots.
-    Shots that ran to r_max carry no radius and are not used for estimates.
+    Shots that ran to R_MAX carry no radius and are not used for estimates.
     """
     a, b = lo, hi
     sides = {DECAYS: [], CROSSES: []}
@@ -228,7 +201,7 @@ def _search(classify, lo: float, hi: float, tol: float, r_max: float, rate0: flo
         res = classify(t)
         a, b = (a, t) if res.kind == CROSSES else (t, b)
         last, pts = res.kind, sides[res.kind]
-        if res.r_end < r_max:
+        if res.r_end < R_MAX:
             if pts and res.r_end <= pts[-1][1]:
                 pts.clear()  # the radius must grow toward the root
             pts.append((t, res.r_end))
@@ -248,18 +221,18 @@ def find_ground_u0(params: PhysParams, bracket: tuple[float, float],
     def classify(u0: float) -> ShotResult:
         nonlocal shots
         shots += 1
-        res = shoot(u0, params, R_MAX, dr)
+        res = shoot(u0, params, dr)
         if res.kind == DIVERGES:
             raise RuntimeError(f"divergent shot at u0 = {u0}")
         return res
 
-    s_lo = shoot(lo, params, R_MAX, dr)
-    s_hi = shoot(hi, params, R_MAX, dr)
+    s_lo = shoot(lo, params, dr)
+    s_hi = shoot(hi, params, dr)
     shots += 2
     if s_lo.kind != DECAYS or s_hi.kind != CROSSES:
         raise ValueError(f"invalid bracket: endpoints classify as ({s_lo.kind}, {s_hi.kind})")
     rate0 = 2.0 * math.sqrt(2.0 * params.m * params.mu)
-    return _search(classify, lo, hi, TOL, R_MAX, rate0), shots
+    return _search(classify, lo, hi, TOL, rate0), shots
 
 
 def ground_profile(params: PhysParams) -> RadialProfile:
@@ -271,25 +244,25 @@ def ground_profile(params: PhysParams) -> RadialProfile:
     decaying solution of the linearized equation,
     u ~ (r_s/r)^{(n-1)/2} exp(-kappa (r - r_s)), kappa = sqrt(2 m mu).
     """
-    r_max, dr = R_MAX, 1e-3
+    dr = 1e-3
     u0, shots = find_ground_u0(params, default_bracket(params), dr)
-    shot = shoot(u0, params, r_max, dr, record=True)
+    shot = shoot(u0, params, dr, record=True)
     us = shot.values
     threshold = SPLICE_LEVEL * u0
     below = np.nonzero(us <= threshold)[0]
     if len(below) == 0:
-        raise RuntimeError(f"shot never reached the splice level by r = {r_max:g}")
+        raise RuntimeError(f"shot never reached the splice level by r = {R_MAX:g}")
     i_s = int(below[0])
     r_s = i_s * dr
     u_s = float(us[i_s])
     kappa = math.sqrt(2.0 * params.m * params.mu)
-    steps = int(round(r_max / dr))
+    steps = int(round(R_MAX / dr))
     values = np.empty(steps + 1)
     values[: i_s + 1] = us[: i_s + 1]
     r_tail = dr * np.arange(i_s + 1, steps + 1)
     values[i_s + 1:] = u_s * (r_s / r_tail) ** (0.5 * (params.n - 1)) \
         * np.exp(-kappa * (r_tail - r_s))
-    return RadialProfile(r_max=r_max, dr=dr, values=values, u0=u0, shots=shots)
+    return RadialProfile(dr=dr, values=values, u0=u0, shots=shots)
 
 
 def profile_to_field(prof: RadialProfile, grid: Grid) -> RealField:

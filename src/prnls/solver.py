@@ -18,7 +18,7 @@ converged state on the Nehari manifold.  A norm above 1e12 raises BlowUpError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .model import (
     _max_abs,
     _parseval_root,
     _re_dot,
+    checked_number,
     derivative_freqs,
     fold_even,
     gaussian_field,
@@ -66,11 +67,13 @@ class SolverConfig:
     fallback_step: float = 0.5          # step of the projected-gradient reference in tests/
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "init_field" and value is not None:  # gamma None is the default rule
+                object.__setattr__(self, f.name,
+                                   checked_number(f.name, value, f.name == "max_iter"))
         if not (self.tol_residual > 0.0 and math.isfinite(self.tol_residual)):
             raise ValueError("tol_residual must be positive and finite")
-        if not float(self.max_iter).is_integer():
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        object.__setattr__(self, "max_iter", int(self.max_iter))
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.gamma is not None and not (self.gamma > 1.0 and math.isfinite(self.gamma)):
@@ -195,6 +198,8 @@ def solve_ground_state(params: PhysParams, grid: Grid,
     it becomes non-finite; plain non-convergence is returned as converged=False with
     the last iterate and its stop_reason.
     """
+    if params.n != grid.n:
+        raise ValueError(f"params n = {params.n} does not match the grid's n = {grid.n}")
     cfg = cfg or SolverConfig()
     gamma = cfg.resolved_gamma(params.p)
     init, box = cfg.init_field, (grid.n, grid.L, grid.N)

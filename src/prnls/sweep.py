@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import PhysParams, RealField, grad_norm_sq, make_grid, norm_hhalf, norm_l2, to_spectral
+from .model import (PhysParams, RealField, checked_number, grad_norm_sq, make_grid, norm_hhalf,
+                    norm_l2, to_spectral)
 from .snapshot import _entry, csv_text, json_text, save_field, write_text
 from .solver import GroundState, SolverConfig, h1_distance, radial_scatter, solve_ground_state
 from .variational import EnergyReport
@@ -61,12 +62,14 @@ class RunConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("m", "mu", "p"):
-            object.__setattr__(self, name, float(getattr(self, name)))
         grid = make_grid(self.n, self.L, self.N)
         for name in ("n", "L", "N"):  # as the grid holds them: ints n and N, a float L
             object.__setattr__(self, name, getattr(grid, name))
-        sched = tuple(float(c) for c in self.c_schedule)
+        params = self.params_at(math.inf)
+        for name in ("m", "mu", "p"):  # as PhysParams holds them: floats
+            object.__setattr__(self, name, getattr(params, name))
+        sched = tuple(checked_number(f"c_schedule entry {i}", c)
+                      for i, c in enumerate(self.c_schedule))
         if not sched:
             raise ValueError("c_schedule must not be empty")
         if not all(math.isfinite(c) for c in sched):
@@ -83,7 +86,7 @@ class RunConfig:
             self.params_at(c)  # validates c >= 1 and mu <= m c^2
 
     def params_at(self, c: float) -> PhysParams:
-        return PhysParams(m=self.m, mu=self.mu, c=float(c), p=self.p, n=self.n)
+        return PhysParams(m=self.m, mu=self.mu, c=c, p=self.p, n=self.n)
 
 
 def _label(c: float) -> str:

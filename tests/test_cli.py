@@ -118,6 +118,8 @@ def test_unsafe_schedule_rejected(tmp_path, capsys, schedule, reason):
     ({"output_dir": 5}, "output_dir"),
     ({"c_schedule": [1, None]}, "c_schedule entry 1"),
     ({"solver": {"tol_residual": None}}, "solver 'tol_residual'"),
+    ({"grid": {"L": 10**400}}, "L must be positive and finite"),  # raised OverflowError
+    ({"solver": {"tol_residual": 10**400}}, "tol_residual must be positive and finite"),
 ])
 def test_config_type_error_exits_2(tmp_path, capsys, raw, key):
     path = tmp_path / "cfg.json"

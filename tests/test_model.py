@@ -50,9 +50,12 @@ class TestParams:
     @pytest.mark.parametrize("bad", [
         dict(m=0.0), dict(mu=-1.0), dict(c=0.5), dict(p=2.0), dict(p=4.0),
         dict(n=1), dict(mu=2.0, c=1.0),  # mu > m c^2
+        dict(m=True), dict(m="1"), dict(mu=True), dict(c="inf"), dict(p="3"), dict(n=True),
+        dict(n=2.5), dict(p=2.5, n=10**400),  # a 400-digit n has p_max 2, not an OverflowError
     ])
     def test_rejects(self, make_params, bad):
-        with pytest.raises(ValueError):
+        # the message names the field: "m must be a number, got True"
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} "):
             make_params(**{"c": 1.0, **bad})
 
     def test_mu_equal_mc2_allowed(self, make_params):
@@ -97,6 +100,8 @@ class TestGrid:
         (2, 1, "64", "N must be an integer, got '64'"),
         (True, 1, 64, "n must be an integer, got True"),
         (2.5, 1, 64, "n must be an integer, got 2.5"),
+        # an int past float range is inf, which raised OverflowError in float(L)
+        pytest.param(2, 10**400, 64, "L must be positive and finite", id="2-10**400-64"),
     ])
     def test_rejects_what_is_no_number_or_no_integer(self, n, L, N, message):
         # make_grid(2, True, 64.7) built L = 1, N = 64 while it converted its values; the
@@ -104,6 +109,11 @@ class TestGrid:
         assert P.make_grid(2, 1, 64) is P.make_grid(2, 1.0, 64.0)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             P.make_grid(n, L, N)
+
+    def test_rejects_an_even_that_is_no_bool(self):
+        # "no" is truthy: it built the even layout
+        with pytest.raises(ValueError, match="^even must be a bool, got 'no'$"):
+            P.make_grid(2, 32.0, 64, "no")
 
     def test_3d_grid(self):
         g = P.make_grid(3, 16.0, 64)

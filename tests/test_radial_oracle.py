@@ -13,6 +13,7 @@ from prnls.radial_oracle import (
     DECAYS,
     ShotResult,
     _bisect,
+    _estimate,
     _search,
     default_bracket,
 )
@@ -23,16 +24,17 @@ U0_STAR_2D = 2.3919564032
 
 #: (m, mu, p, n) -> (u(0) plain bisection returns from default_bracket at the
 #: default mesh and tol, a ceiling on the RK4 steps find_ground_u0 takes: the sum of
-#: r_end / dr over its shots).  The ceilings are the steps of the earlier two-pass
-#: search (narrow the bracket, then replay bisection); plain bisection takes
-#: 231231, 120935, 126476, 294582, 408733 and 201378.
+#: r_end / dr over its shots).  The ceilings are the steps of the two-shot root
+#: estimates (_estimate); plain bisection takes 231231, 120935, 126476, 294582,
+#: 408733, 201378 and 603066.
 BISECTION_REFERENCE = {
-    (1.0, 1.0, 3.0, 2): (2.3919564032221388, 76345),
-    (2.0, 2.0, 3.0, 2): (4.783912807000888, 37942),
-    (1.0, 4.0, 3.0, 2): (9.567825614034518, 37942),
-    (1.0, 1.0, 2.5, 3): (4.27654169690868, 109888),
-    (1.0, 1.0, 2.2, 3): (4.382651320021978, 199356),
-    (1.0, 1.0, 3.9, 2): (2.221150864093943, 68425),
+    (1.0, 1.0, 3.0, 2): (2.3919564032221388, 67958),
+    (2.0, 2.0, 3.0, 2): (4.783912807000888, 34255),
+    (1.0, 4.0, 3.0, 2): (9.567825614034518, 34460),
+    (1.0, 1.0, 2.5, 3): (4.27654169690868, 104364),
+    (1.0, 1.0, 2.2, 3): (4.382651320021978, 185701),
+    (1.0, 1.0, 3.9, 2): (2.221150864093943, 51895),
+    (0.5, 0.3, 2.8, 3): (0.9353956959352612, 192000),
 }
 
 
@@ -71,7 +73,7 @@ class TestShoot:
 
     def test_oversized_step_rejected(self, params_inf):
         with pytest.raises(ValueError, match="too large"):
-            P.shoot(2.39, params_inf, r_max=10.0, dr=1.0)
+            P.shoot(2.39, params_inf, dr=1.0)
 
     def test_energy_drift_rejected(self, params_inf):
         # |a| dr^2 = 0.024 passes the core-curvature guard; the monitor trips at the second step
@@ -165,6 +167,16 @@ def _plain_bisection(classify, lo: float, hi: float, tol: float) -> float:
 LO, HI = 1.0, 10.0
 
 
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_estimate_is_the_root_of_its_law(side):
+    # two unquantized shots of |u0 - s| = C exp(-rate r_end) give back s to rounding
+    s, rate, C = 2.4, 2.83, 300.0
+    pts = [(s + side * C * math.exp(-rate * r), r) for r in (3.0, 4.5)]
+    assert _estimate(pts, LO, HI, rate) == pytest.approx(s, rel=0.0, abs=2 * math.ulp(s))
+    assert _estimate(pts[1:], LO, HI, rate) is None  # one shot fixes no root
+    assert _estimate(pts, LO, s - 0.1, rate) is None  # the root lies outside (a, b)
+
+
 class TestSearch:
     """The search is plain bisection, checked without shooting."""
 
@@ -198,7 +210,7 @@ class TestSearch:
         def kind(u0):
             return shot(u0).kind
 
-        assert _search(classify, LO, HI, tol, 30.0, rate_guess) == \
+        assert _search(classify, LO, HI, tol, rate_guess) == \
             _plain_bisection(kind, LO, HI, tol)
         assert shots <= 2 * math.ceil(math.log2((HI - LO) / tol))
 
@@ -217,7 +229,7 @@ class TestSearch:
         def kind(u0):
             return shot(u0).kind
 
-        assert _search(classify, LO, HI, tol, 30.0, rate_guess) == \
+        assert _search(classify, LO, HI, tol, rate_guess) == \
             _plain_bisection(kind, LO, HI, tol)
         assert len(calls) <= 2 * math.ceil(math.log2((HI - LO) / tol))
 
@@ -232,7 +244,7 @@ class TestProfile:
 
     def test_radii_mesh(self, oracle_profile):
         r = oracle_profile.radii()
-        assert r[0] == 0.0 and r[-1] == pytest.approx(oracle_profile.r_max)
+        assert r[0] == 0.0 and r[-1] == pytest.approx(radial_oracle.R_MAX)
         assert len(r) == len(oracle_profile.values)
 
     @pytest.mark.parametrize("m2,mu2", [(2.0, 2.0), (1.0, 4.0)])

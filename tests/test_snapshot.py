@@ -34,6 +34,16 @@ def test_roundtrip_bitexact(tmp_path, grid, params_inf):
     assert restored == params_inf
 
 
+def test_params_of_integral_float_n_round_trip(tmp_path, grid):
+    # PhysParams holds n as an int and m as a float, so the header's n is a JSON integer
+    params = P.PhysParams(m=1, mu=1.0, c=math.inf, p=3.0, n=2.0)
+    path = P.save_field(tmp_path / "f.f64", P.gaussian_field(grid, 2.0), params)
+    head = P.load_field(path)[1]
+    assert head["params"]["n"] == 2 and isinstance(head["params"]["n"], int)
+    assert params_from_header(head) == params
+    assert isinstance(params.m, float) and isinstance(params.n, int)
+
+
 def test_snapshots_of_one_box_share_its_grid(tmp_path, grid, params_inf):
     # a certification holds every state of a sweep at once: one xi_sq table, not one per file
     f = P.gaussian_field(grid, 2.0)

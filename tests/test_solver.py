@@ -221,6 +221,12 @@ class TestSolve:
             init = P.gaussian_field(other, 2.0)
             with pytest.raises(ValueError, match="^init_field grid does not match the solve grid$"):
                 P.solve_ground_state(params_inf, grid, SolverConfig(init_field=init))
+        # a state's dimension is its grid's: p = 3.5 is supercritical in 3D
+        pp = P.PhysParams(m=1.0, mu=1.0, c=math.inf, p=3.5, n=2)
+        with pytest.raises(ValueError, match="^params n = 2 does not match the grid's n = 3$"):
+            P.solve_ground_state(pp, P.make_grid(3, 16.0, 32))
+        with pytest.raises(ValueError, match="^params n = 3 does not match the grid's n = 2$"):
+            P.solve_ground_state(P.PhysParams(m=1.0, mu=1.0, c=math.inf, p=2.5, n=3), grid)
 
     def test_mirror_even_start_is_folded_once(self, params_inf, monkeypatch):
         # a full-box Gaussian start is folded onto the even layout, where a cold start
@@ -570,10 +576,19 @@ class TestConfig:
             SolverConfig(max_iter=2.5)
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(init_width=math.inf)  # an infinitely wide Gaussian is the constant 1
+        with pytest.raises(ValueError, match="^max_iter must be an integer, got True$"):
+            SolverConfig(max_iter=True)  # ran one iteration
+        for name in ("tol_residual", "gamma", "init_width", "fallback_step"):
+            for bad in (True, "1"):
+                with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
+                    SolverConfig(**{name: bad})
+        with pytest.raises(ValueError, match="^tol_residual must be positive and finite$"):
+            SolverConfig(tol_residual=10**400)  # an int past float range is inf
 
     def test_integral_float_max_iter_accepted(self):
         cfg = SolverConfig(max_iter=5.0)
         assert cfg.max_iter == 5 and isinstance(cfg.max_iter, int)
+        assert SolverConfig(max_iter=10**400).max_iter == 10**400  # no float() to overflow
 
     def test_default_gamma_formula(self):
         assert SolverConfig().resolved_gamma(3.0) == pytest.approx(2.0)

@@ -89,6 +89,19 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="must be an integer"):
             run_config_from_dict(raw)
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(m=True, p="3"), "m must be a number, got True"),
+        (dict(p="3"), "p must be a number, got '3'"),
+        (dict(c_schedule=(True, "2")), "c_schedule entry 0 must be a number, got True"),
+        (dict(c_schedule=(1.0, "2")), "c_schedule entry 1 must be a number, got '2'"),
+    ])
+    def test_non_numbers_rejected(self, kw, message):
+        # the Python API's values are checked as a config file's are, not coerced by float()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig(**kw)
+        cfg = RunConfig(m=1, mu=1, p=3)
+        assert (cfg.m, cfg.mu, cfg.p) == (1.0, 1.0, 3.0) and isinstance(cfg.p, float)
+
     def test_integral_float_size_accepted(self):
         cfg = run_config_from_dict({"params": {"n": 2.0}, "grid": {"N": 64.0}})
         assert (cfg.n, cfg.N) == (2, 64) and isinstance(cfg.N, int)
