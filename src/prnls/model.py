@@ -100,6 +100,10 @@ class Grid:
             raise ValueError("L must be positive and finite")
         if self.N < 16 or (self.N & (self.N - 1)) != 0:
             raise ValueError("N must be a power of two >= 16")
+        k = int(self.N).bit_length() - 1  # N = 2^k; checked before any table is built
+        if self.n * k >= 24:
+            raise ValueError(f"N = 2^{k} is too large in {self.n}D: "
+                             f"2^{self.n * k} samples per array, at most 2^23")
         object.__setattr__(self, "h", self.L / self.N)
         freqs = TWO_PI * np.fft.fftfreq(self.N, d=self.h)
         half = TWO_PI * np.fft.rfftfreq(self.N, d=self.h)
@@ -225,7 +229,8 @@ def checked_number(name: str, value, integer: bool = False) -> int | float:
 def make_grid(n: int, L: float, N: int, even: bool = False) -> Grid:
     """The one Grid per box and layout (the last eight are cached): make_grid(2, 32, 256) is
     make_grid(2, 32.0, 256).  Each call checks its values before the cache, where True
-    would be 1; Grid rejects n outside {2, 3}, L <= 0 or infinite, N no power of two >= 16."""
+    would be 1; Grid rejects n outside {2, 3}, L <= 0 or infinite, N no power of two >= 16,
+    and N^n >= 2^24 samples per array."""
     if not isinstance(even, bool):
         raise ValueError(f"even must be a bool, got {even!r}")
     return _grid_cache(checked_number("n", n, True), checked_number("L", L),

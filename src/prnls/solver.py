@@ -165,8 +165,7 @@ def h1_distance(f: RealField, g: RealField) -> float:
 
 def _finalize(f: RealField, params: PhysParams, cfg: SolverConfig, iterations: int,
               stop_reason: str) -> GroundState:
-    if not f.grid.even:  # a mirror-even state is centered by its symmetry
-        f = center(f)
+    f = center(f)
     report = energy(f, relativistic_multiplier(f.grid, params), params)
     converged = stop_reason == "converged" and report.residual <= cfg.tol_residual
     if converged:
@@ -190,13 +189,13 @@ def solve_ground_state(params: PhysParams, grid: Grid,
     is within half the tolerance, or after max_iter steps, or when the pairing
     <u_+^{p-1}, u> is not positive (that failed step still counts); each of the
     pass's four sums (||u||^2, the pairing, Q(u) and the residual) is one plain dot
-    of half spectra, by Parseval.  The buffers
-    are released before the state is finalized.  Deterministic for a fixed
-    configuration, with the same bits under one or two OpenBLAS threads at 2D
-    N <= 256 and 3D N <= 128 (model._dct1).  Raises BlowUpError when the iterate's
-    norm passes 1e12 (checked first in each pass, before the power can overflow) or
-    it becomes non-finite; plain non-convergence is returned as converged=False with
-    the last iterate and its stop_reason.
+    of half spectra, by Parseval.  The buffers are released before the state is
+    finalized.  Deterministic for a fixed configuration, with the same bits under
+    one or two OpenBLAS threads at 2D N <= 256 and 3D N <= 128 (model._dct1).
+    Raises BlowUpError when the iterate's norm passes 1e12 or is non-finite (one
+    check, first in each pass, before the power can overflow: an inf or a NaN in
+    the spectrum makes the norm one); plain non-convergence is returned as
+    converged=False with the last iterate and its stop_reason.
     """
     if params.n != grid.n:
         raise ValueError(f"params n = {params.n} does not match the grid's n = {grid.n}")
@@ -230,8 +229,9 @@ def solve_ground_state(params: PhysParams, grid: Grid,
     reason = "max_iter"
     for it in range(cfg.max_iter + 1):
         u_sq = c * g * g * _re_dot(V, V)  # h^n sum(u u), by Parseval
-        if u_sq > BLOWUP_NORM**2:  # before the power, which would overflow first
-            raise BlowUpError(f"iterate norm exceeded {BLOWUP_NORM:.0e}")
+        if not u_sq <= BLOWUP_NORM**2:  # NaN too; before the power, which would overflow
+            raise BlowUpError("iterate became non-finite" if not np.all(np.isfinite(V))
+                              else f"iterate norm exceeded {BLOWUP_NORM:.0e}")
         clamped_power(u, params.p, out=nl)
         _parseval_root(_forward(nl, layout, out=NL, work=nl), layout)  # nl is refilled next pass
         pairing = c * g * _re_dot(NL, V)  # <u_+^{p-1}, u>
@@ -248,12 +248,10 @@ def solve_ground_state(params: PhysParams, grid: Grid,
         if pairing <= 0.0 or not math.isfinite(pairing):
             reason, it = "pairing_collapse", it + 1
             break
-        with np.errstate(over="ignore", invalid="ignore"):  # blow-up is caught below
+        with np.errstate(over="ignore", invalid="ignore"):  # caught at the next pass's top
             np.multiply(NL, (q / pairing) ** gamma, out=V)
             V *= step
-        if not np.all(np.isfinite(V)):
-            raise BlowUpError("iterate became non-finite")
-        _inverse(V, layout, out=u, work=NL)  # NL is refilled next pass
-        _parseval_root(V, layout)
+            _inverse(V, layout, out=u, work=NL)  # NL is refilled next pass
+            _parseval_root(V, layout)
     del V, nl, NL, sqrt_gD, step
     return _finalize(RealField(layout, u), params, cfg, it, reason)

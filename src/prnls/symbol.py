@@ -20,13 +20,23 @@ import numpy as np
 from .model import Grid, PhysParams, RealField, to_spectral, weighted_power
 
 
+def _root_term(xi_sq, params: PhysParams):
+    """sqrt(xi_sq/c^2 + m^2) + m for float64 xi_sq: sqrt(m m) + m at 0.0, c = inf included."""
+    with np.errstate(invalid="ignore"):  # inf/inf at xi_sq = c = inf
+        return np.sqrt(xi_sq / (params.c * params.c) + params.m * params.m) + params.m
+
+
+def _gap_over(xi_sq, params: PhysParams, d):
+    """xi_sq^2 / (2 m c^2 d^2), the lead term times the ratio: the gap's and its bound's order."""
+    with np.errstate(invalid="ignore"):
+        lead = xi_sq / (2.0 * params.m * params.c * params.c)
+    return lead * (xi_sq / (d * d))
+
+
 def eval_relativistic_symbol(xi_sq, params: PhysParams):
     """a_c(|xi|^2) in the cancellation-free quotient form; works on scalars and arrays."""
-    m, c = params.m, params.c
     xi_sq = np.asarray(xi_sq, dtype=np.float64)
-    with np.errstate(invalid="ignore"):  # xi_sq/c^2 is 0 for c = inf
-        denom = np.sqrt(xi_sq / (c * c) + m * m) + m
-    return xi_sq / denom
+    return xi_sq / _root_term(xi_sq, params)
 
 
 def symbol_gap(xi_sq, params: PhysParams):
@@ -37,28 +47,14 @@ def symbol_gap(xi_sq, params: PhysParams):
     symbol_gap_bound monotonically, so 0 <= gap <= bound holds in floating
     point with no tolerance.
     """
-    m, c = params.m, params.c
     xi_sq = np.asarray(xi_sq, dtype=np.float64)
-    m2 = m * m
-    with np.errstate(invalid="ignore"):
-        lead = xi_sq / (2.0 * m * c * c)
-        d = np.sqrt(xi_sq / (c * c) + m2) + m
-    return lead * (xi_sq / (d * d))
+    return _gap_over(xi_sq, params, _root_term(xi_sq, params))
 
 
 def symbol_gap_bound(xi_sq, params: PhysParams):
-    """Quantitative expansion remainder |xi|^4 / (8 m^3 c^2).
-
-    Shares its operation ordering with symbol_gap (denominator evaluated at
-    xi = 0) so the sandwich is exact in floating point.
-    """
-    m, c = params.m, params.c
-    xi_sq = np.asarray(xi_sq, dtype=np.float64)
-    m2 = m * m
-    with np.errstate(invalid="ignore"):
-        lead = xi_sq / (2.0 * m * c * c)
-    d0 = np.sqrt(m2) + m
-    return lead * (xi_sq / (d0 * d0))
+    """Quantitative expansion remainder |xi|^4 / (8 m^3 c^2): symbol_gap with its
+    denominator evaluated at xi = 0, so the sandwich is exact in floating point."""
+    return _gap_over(np.asarray(xi_sq, dtype=np.float64), params, _root_term(0.0, params))
 
 
 def sandwich_holds(xi_sq, params: PhysParams) -> bool:

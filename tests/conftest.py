@@ -101,10 +101,12 @@ def sweep_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def sweep_outcome(sweep_dir):
-    """Full default sweep, computed once; (result, wall time in seconds)."""
+    """Full default sweep, computed once; (result, wall time in seconds, the
+    BoundaryDecayWarnings of its seven states, the limit state's first)."""
     t0 = time.perf_counter()
-    result = run_sweep(RunConfig(output_dir=str(sweep_dir)))
-    return result, time.perf_counter() - t0
+    with pytest.warns(P.model.BoundaryDecayWarning) as flagged:
+        result = run_sweep(RunConfig(output_dir=str(sweep_dir)))
+    return result, time.perf_counter() - t0, flagged.list
 
 
 @pytest.fixture(scope="session")
@@ -148,4 +150,5 @@ def asym_state(grid, params_inf):
     skew = (1.0 + 0.05 * np.sin(2 * np.pi * (x[:, None] + 0.37) / grid.L)
             + 0.05 * x[:, None] * x[None, :] / grid.L**2)
     init = P.RealField(grid, base.values * skew)
-    return P.solve_ground_state(params_inf, grid, P.SolverConfig(init_field=init))
+    with pytest.warns(P.model.BoundaryDecayWarning):  # as the limit state's 2.8e-10
+        return P.solve_ground_state(params_inf, grid, P.SolverConfig(init_field=init))

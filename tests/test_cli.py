@@ -21,7 +21,8 @@ def tiny_config(tmp_path):
 
 
 def test_solve_command(tiny_config, tmp_path, capsys):
-    assert main(["solve", "--c", "4", "--config", str(tiny_config)]) == 0
+    with pytest.warns(prnls.model.BoundaryDecayWarning):  # 3.1e-10 on the L = 32 box
+        assert main(["solve", "--c", "4", "--config", str(tiny_config)]) == 0
     out = capsys.readouterr().out
     assert "residual" in out and "[ok]" in out
     assert (tmp_path / "out" / "state_c4.f64").exists()
@@ -152,13 +153,25 @@ def test_non_numbers_rejected(tmp_path, capsys, raw, key):
 
 
 def test_solve_limit_state(tiny_config):
-    assert main(["solve", "--c", "inf", "--config", str(tiny_config)]) == 0
+    with pytest.warns(prnls.model.BoundaryDecayWarning):  # 2.8e-10 on the L = 32 box
+        assert main(["solve", "--c", "inf", "--config", str(tiny_config)]) == 0
 
 
 def test_minus_infinite_c_rejected(tiny_config, tmp_path, capsys):
     # c = inf is one more value of c, so -inf fails c >= 1 like any other value
     assert main(["solve", "--c=-inf", "--config", str(tiny_config)]) == 2
     assert capsys.readouterr().err == "error: c must be >= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw", [{"grid": {"N": 2**1000}},
+                                 {"params": {"n": 3, "p": 2.5}, "grid": {"N": 256}}])
+def test_grid_too_large_to_allocate_rejected(tmp_path, capsys, raw):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(raw, output_dir=str(tmp_path / "out"))))
+    assert main(["solve", "--c", "inf", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"error: N = 2\^\d+ is too large in [23]D: 2\^\d+ samples per array", err)
     assert not (tmp_path / "out").exists()
 
 
@@ -223,7 +236,9 @@ def test_infinite_gamma_rejected(tmp_path, capsys):
 
 
 def test_sweep_command(tiny_config, tmp_path, capsys):
-    assert main(["sweep", "--config", str(tiny_config)]) == 0
+    with pytest.warns(prnls.model.BoundaryDecayWarning) as flagged:  # every state, as above
+        assert main(["sweep", "--config", str(tiny_config)]) == 0
+    assert len(flagged) == 3
     out = capsys.readouterr().out
     assert "err at the largest c is the minimum" in out
     assert "slack(c=inf) = <1e-12 (<1e-12 relative)" in out  # round-off figures

@@ -87,6 +87,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             P.make_grid(2, -1.0, 64)
 
+    @pytest.mark.parametrize("n, N, samples", [(2, 4096, 24), (3, 256, 24), (2, 2**1000, 2000)])
+    def test_rejects_a_grid_too_large_to_allocate(self, n, N, samples, monkeypatch):
+        # N^n >= 2^24 samples per array is named before fftfreq or any table runs
+        # (fftfreq raised "Maximum allowed dimension exceeded" at N = 2^1000)
+        monkeypatch.setattr(np.fft, "fftfreq", None)
+        k = N.bit_length() - 1
+        with pytest.raises(ValueError, match=rf"^N = 2\^{k} is too large in {n}D: "
+                                             rf"2\^{samples} samples per array, at most 2\^23$"):
+            P.make_grid(n, 32.0, N)
+
     def test_compares_and_hashes_by_layout(self):
         a, b = P.Grid(2, 32, 256), P.Grid(2, 32.0, 256)
         assert a is not b and a == b and hash(a) == hash(b)

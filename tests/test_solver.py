@@ -48,12 +48,29 @@ def projected_gradient_solve(params, grid, M, cfg=None):
 
 @pytest.fixture(scope="module")
 def deep_state(grid, params_inf):
-    return P.solve_ground_state(params_inf, grid, SolverConfig(tol_residual=1e-12))
+    with pytest.warns(P.model.BoundaryDecayWarning):  # as the limit state's 2.8e-10
+        return P.solve_ground_state(params_inf, grid, SolverConfig(tol_residual=1e-12))
+
+
+@pytest.fixture
+def finite_powers(monkeypatch):
+    """solver.clamped_power asserting that every iterate it is given is finite: no
+    non-finite iterate gets past the loop's one blow-up check.  The list counts the calls."""
+    power, calls = solver.clamped_power, []
+
+    def checked(u, p, out):
+        assert np.all(np.isfinite(u))
+        calls.append(p)
+        return power(u, p, out=out)
+
+    monkeypatch.setattr(solver, "clamped_power", checked)
+    return calls
 
 
 @pytest.fixture(scope="module")
 def pg_state(grid, params_inf, limit_mult):
-    return projected_gradient_solve(params_inf, grid, limit_mult)
+    with pytest.warns(P.model.BoundaryDecayWarning):  # as the limit state's 2.8e-10
+        return projected_gradient_solve(params_inf, grid, limit_mult)
 
 
 class TestSolve:
@@ -78,7 +95,9 @@ class TestSolve:
         assert P.compare_profiles(limit_state, oracle_profile) <= 1e-3
 
     def test_reinit_with_converged_state_stays_put(self, grid, params_inf, limit_state):
-        again = P.solve_ground_state(params_inf, grid, SolverConfig(init_field=limit_state.field))
+        with pytest.warns(P.model.BoundaryDecayWarning):  # as the limit state's 2.8e-10
+            again = P.solve_ground_state(params_inf, grid,
+                                         SolverConfig(init_field=limit_state.field))
         assert again.converged and again.iterations <= 2
         assert P.h1_distance(again.field, limit_state.field) <= 1e-8
 
@@ -129,12 +148,14 @@ class TestSolve:
 
     def test_cold_start_agrees_with_warm_start(self, grid, make_params, sweep_field):
         pp = make_params(c=4.0)
-        cold = P.solve_ground_state(pp, grid)
+        with pytest.warns(P.model.BoundaryDecayWarning):  # as the sweep's c = 4, 3.3e-10
+            cold = P.solve_ground_state(pp, grid)
         assert P.h1_distance(cold.field, sweep_field(4.0)) <= 1e-6
 
     def test_resolution_doubling_preserves_energy(self, params_inf, limit_state):
         fine_grid = P.make_grid(2, 32.0, 512)
-        fine = P.solve_ground_state(params_inf, fine_grid)
+        with pytest.warns(P.model.BoundaryDecayWarning):  # the box, not N, sets the decay
+            fine = P.solve_ground_state(params_inf, fine_grid)
         coarse_I = limit_state.report.I
         assert abs(fine.report.I - coarse_I) <= 1e-6 * abs(coarse_I)
 
@@ -145,13 +166,15 @@ class TestSolve:
         fine_res = P.energy(lifted, M, params_inf).residual
         assert fine_res <= 10.0 * limit_state.report.residual
 
-    def test_blowup_raises(self, grid, params_inf):
-        # the non-finite guard: gamma = 60 from a narrow start overflows the step factor
+    def test_blowup_raises(self, grid, params_inf, finite_powers):
+        # the non-finite guard: gamma = 60 from a narrow start overflows the step factor,
+        # and the next pass's norm check, NaN or inf, raises before the power
         cfg = SolverConfig(gamma=60.0, init_width=0.3, max_iter=50)
         with pytest.raises(P.BlowUpError, match="^iterate became non-finite$"):
             P.solve_ground_state(params_inf, grid, cfg)
+        assert finite_powers
 
-    def test_blowup_norm_guard(self, grid, params_inf):
+    def test_blowup_norm_guard(self, grid, params_inf, finite_powers):
         # a sign-changing start pairs less than it weighs (Q(u) > <u_+^{p-1}, u>), so
         # gamma = 60 inflates the first step by a large but finite factor
         base = P.gaussian_field(grid, 2.0).values
@@ -159,15 +182,32 @@ class TestSolve:
         cfg = SolverConfig(init_field=init, gamma=60.0, max_iter=5)
         with pytest.raises(P.BlowUpError, match=r"^iterate norm exceeded 1e\+12$"):
             P.solve_ground_state(params_inf, grid, cfg)
+        assert finite_powers
 
     @pytest.mark.parametrize("c", [4.0, math.inf])
-    def test_blowup_caught_before_the_power_overflows(self, make_params, c):
+    def test_blowup_caught_before_the_power_overflows(self, make_params, c, finite_powers):
         # gamma = 60 from the default start: the iterate's norm passes 1e12 at a
         # size whose square overflows, so the guard must come before the power
         grid = P.make_grid(2, 32.0, 64)
         params = make_params(c=c)
         with pytest.raises(P.BlowUpError, match=r"^iterate norm exceeded 1e\+12$"):
             P.solve_ground_state(params, grid, SolverConfig(gamma=60.0))
+        assert finite_powers
+
+    def test_nan_norm_caught_before_the_power(self, params_inf, finite_powers, monkeypatch):
+        # a full-box start of period L/2 along x has exact zeros at the odd x frequencies,
+        # where the overflowed step factor gives 0 * inf = NaN: the next norm is NaN,
+        # which fails u_sq <= 1e24 as an inf does
+        g = P.make_grid(2, 32.0, 64)
+        x = g.axis_coordinates()
+        bumps = sum(np.exp(-((x[:, None] - cx) ** 2 + (x[None, :] - 13.0) ** 2) / 0.25)
+                    for cx in (4.0, 20.0))
+        dots, dot = [], solver._re_dot
+        monkeypatch.setattr(solver, "_re_dot", lambda a, b: dots.append(dot(a, b)) or dots[-1])
+        cfg = SolverConfig(init_field=P.RealField(g, bumps), gamma=60.0, max_iter=50)
+        with pytest.raises(P.BlowUpError, match="^iterate became non-finite$"):
+            P.solve_ground_state(params_inf, g, cfg)
+        assert math.isnan(dots[-1]) and finite_powers
 
     def test_nonconvergence_reported_not_raised(self, grid, params_inf):
         gs = P.solve_ground_state(params_inf, grid, SolverConfig(max_iter=3))
@@ -181,9 +221,9 @@ class TestSolve:
         gs = P.solve_ground_state(params_inf, grid, SolverConfig(init_field=init))
         assert (gs.stop_reason, gs.iterations, gs.converged) == ("pairing_collapse", 1, False)
 
-    def test_converged_verdict_implies_converged_stop(self):
-        # random controls: a solve returns or raises BlowUpError, and only a loop
-        # that passed its own test yields a converged state
+    def test_converged_verdict_implies_converged_stop(self, finite_powers):
+        # random controls: a solve returns or raises BlowUpError, only a loop that
+        # passed its own test yields a converged state, and the power sees finite iterates
         rng = np.random.default_rng(7)
         reasons = set()
         for _ in range(40):
@@ -245,7 +285,8 @@ class TestSolve:
     def test_3d_smoke(self):
         pp = P.PhysParams(m=1.0, mu=1.0, c=4.0, p=2.5, n=3)
         g = P.make_grid(3, 16.0, 32)
-        gs = P.solve_ground_state(pp, g)
+        with pytest.warns(P.model.BoundaryDecayWarning, match="7.24e-05"):  # L = 16 is small
+            gs = P.solve_ground_state(pp, g)
         assert gs.converged
         assert np.min(gs.field.values) >= -1e-10 * np.max(gs.field.values)
 

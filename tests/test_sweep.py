@@ -39,7 +39,8 @@ def _reject(name):
 def tiny_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny_sweep")
     cfg = RunConfig(N=128, c_schedule=(4.0, 8.0), output_dir=str(out))
-    return run_sweep(cfg), out
+    with pytest.warns(P.model.BoundaryDecayWarning):  # 2.8e-10 to 3.1e-10 on the L = 32 box
+        return run_sweep(cfg), out
 
 class TestRunConfig:
     def test_defaults(self):
@@ -171,6 +172,15 @@ class TestRunSweep:
         _, out = tiny_result
         assert not list(out.glob("*.tmp"))
 
+    def test_default_sweep_flags_every_state(self, sweep_outcome):
+        # the L = 32 box leaves every default state's seam above BOUNDARY_DECAY_TOL
+        # (1e-10): the limit state is solved first, then c = 1 ... 32; c = 1 decays slowest
+        ratios = [float(re.search(r"values are (\S+) of", str(w.message))[1])
+                  for w in sweep_outcome[2]]
+        assert len(ratios) == 7
+        assert ratios[1] == pytest.approx(5.7e-9, rel=0.01)
+        assert all(2.8e-10 <= r <= 5.8e-10 for r in ratios[:1] + ratios[2:])
+
     def test_default_sweep_errors_strictly_decreasing(self, sweep_result):
         errs = [r.err_h1 for r in sweep_result.records]
         assert all(b < a for a, b in zip(errs, errs[1:]))
@@ -208,8 +218,9 @@ class TestRunSweep:
         # At N = 64 with mu = 2 each loop stops as "converged" on its clamped residual
         # ||(A + mu) u - u_+^{p-1}||, while the finalized residual, with the odd power
         # |u|^{p-2} u, also sees the ripple where u < 0; every state keeps its loop's
-        # even layout and is not centered, so centering is not what lifts the residual.
-        states, centered = [], []
+        # even layout, which center returns as it is, so centering is not what lifts
+        # the residual.
+        states, moved = [], []
         solve, center = sweep.solve_ground_state, solver.center
 
         def solve_and_keep(*args):
@@ -217,13 +228,14 @@ class TestRunSweep:
             return states[-1]
 
         def center_and_check(f):
-            centered.append(center(f))
-            return centered[-1]
+            out = center(f)
+            moved.append(out is not f)
+            return out
 
         monkeypatch.setattr(sweep, "solve_ground_state", solve_and_keep)
         monkeypatch.setattr(solver, "center", center_and_check)
         result = run_sweep(RunConfig(N=64, mu=2.0, c_schedule=(4.0, 8.0)))
-        assert centered == [] and all(gs.field.grid.even for gs in states)
+        assert moved == [False] * len(states) and all(gs.field.grid.even for gs in states)
         assert not any(r.converged for r in result.all_records())
         for gs in states:
             g, v = gs.field.grid, gs.field.values
@@ -294,14 +306,15 @@ class TestRunSweep:
     @pytest.mark.filterwarnings("ignore::prnls.model.BoundaryDecayWarning")
     def test_sweep_path_never_touches_the_full_box(self, n, p, N, tmp_path, monkeypatch):
         # a cold start's Gaussian is built on the even layout, so nothing is folded or
-        # centered, every state keeps the layout, and every snapshot holds (N/2 + 1)^n
-        # samples
-        calls = {"fold_even": 0, "center": 0}
+        # moved by center, every state keeps the layout, and every snapshot holds
+        # (N/2 + 1)^n samples
+        calls = {"fold_even": 0, "center": 0}  # center counts the fields it moved
 
         def counting(name, fn):
-            def call(*args):
-                calls[name] += 1
-                return fn(*args)
+            def call(f):
+                out = fn(f)
+                calls[name] += name == "fold_even" or out is not f
+                return out
             return call
 
         for module in (model, solver, sweep, variational, snapshot):
